@@ -152,7 +152,7 @@ import ast
 import os
 import sys
 import time
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.analysis.report import format_table
 from repro.analysis.tuner_view import format_grid_table, format_plan_table
@@ -183,6 +183,9 @@ from repro.workloads import (
     parse_seq_lens,
     parse_token_budget,
 )
+
+if TYPE_CHECKING:
+    from repro.passkit import PassRegistry
 
 __all__ = ["main"]
 
@@ -223,6 +226,38 @@ def _option(text: str) -> tuple[str, Any]:
     except (ValueError, SyntaxError):
         value = raw  # plain strings need no quoting
     return name, value
+
+
+def _add_lint_args(parser: argparse.ArgumentParser, kind: str) -> None:
+    """The options ``repro lint`` and ``repro lint-code`` share; ``kind``
+    names their passes in the help ("analysis", "code")."""
+    parser.add_argument(
+        "--passes",
+        default=None,
+        metavar="A,B,...",
+        help=f"run only these {kind} passes (default: all registered)",
+    )
+    parser.add_argument(
+        "--list-passes",
+        action="store_true",
+        help=f"list the registered {kind} passes and exit",
+    )
+    parser.add_argument(
+        "--strict",
+        action="store_true",
+        help="promote warnings to failures (exit 1 on any finding)",
+    )
+    parser.add_argument(
+        "--json",
+        action="store_true",
+        help="emit the machine-readable report instead of the text",
+    )
+    parser.add_argument(
+        "--out",
+        default=None,
+        metavar="PATH",
+        help="also write the report to PATH (CI uploads it on failure)",
+    )
 
 
 def _add_workload_args(parser: argparse.ArgumentParser, grid: bool = False) -> None:
@@ -485,36 +520,55 @@ def _print_plan_report(
     return bool(feasible)
 
 
+def _list_passes(registry: PassRegistry) -> int:
+    """``--list-passes``: one row per registered pass of ``registry``."""
+    rows = []
+    for name in registry.names():
+        p = registry.get(name)
+        rows.append(
+            {
+                "pass": name,
+                "category": p.category,
+                "requires": ", ".join(p.requires) or "-",
+                "description": p.description,
+            }
+        )
+    print(format_table(rows))
+    return 0
+
+
+def _pass_names(args: argparse.Namespace) -> list[str] | None:
+    """The ``--passes`` selection, or ``None`` for every registered pass."""
+    if not args.passes:
+        return None
+    return [s.strip() for s in args.passes.split(",") if s.strip()]
+
+
+def _emit_report(args: argparse.Namespace, text: str, what: str) -> None:
+    """Print a lint report and, with ``--out``, also write it to a file
+    (a JSON report then goes to the file only)."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        print(f"{what} report written to {args.out}")
+        if not args.json:
+            print(text)
+    else:
+        print(text)
+
+
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.lint import lint_schedules
-    from repro.schedules.analysis import available_passes
+    from repro.schedules.analysis import SCHEDULE_PASSES
 
     if args.list_passes:
-        from repro.schedules.analysis import get_pass
-
-        rows = []
-        for name in available_passes():
-            ap = get_pass(name)
-            rows.append(
-                {
-                    "pass": name,
-                    "category": ap.category,
-                    "requires": ", ".join(ap.requires) or "-",
-                    "description": ap.description,
-                }
-            )
-        print(format_table(rows))
-        return 0
+        return _list_passes(SCHEDULE_PASSES)
 
     schedules = None
     if args.schedules:
         schedules = [s.strip() for s in args.schedules.split(",") if s.strip()]
-    passes = None
-    if args.passes:
-        passes = [s.strip() for s in args.passes.split(",") if s.strip()]
-
     report = lint_schedules(
         schedules=schedules,
         pp_sizes=args.pipeline_size or (2, 4),
@@ -522,7 +576,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         model=args.model,
         gpu=args.gpu,
         seq_len=args.seq_len if args.seq_len is not None else 8192,
-        passes=passes,
+        passes=_pass_names(args),
         strict=args.strict,
     )
     text = (
@@ -530,65 +584,28 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if args.json
         else report.format(verbose=args.verbose)
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"lint report written to {args.out}")
-        if not args.json:
-            print(text)
-    else:
-        print(text)
+    _emit_report(args, text, "lint")
     return 0 if report.ok else 1
 
 
 def _cmd_lint_code(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.devtools.concurrency import (
-        available_code_passes,
-        get_code_pass,
-        lint_code,
-        report_passes_gate,
-    )
+    from repro.devtools.concurrency import CODE_PASSES, lint_code
 
     if args.list_passes:
-        rows = []
-        for name in available_code_passes():
-            cp = get_code_pass(name)
-            rows.append(
-                {
-                    "pass": name,
-                    "category": cp.category,
-                    "requires": ", ".join(cp.requires) or "-",
-                    "description": cp.description,
-                }
-            )
-        print(format_table(rows))
-        return 0
+        return _list_passes(CODE_PASSES)
 
-    passes = None
-    if args.passes:
-        passes = [s.strip() for s in args.passes.split(",") if s.strip()]
-    paths = args.paths or None
-
-    report, _model = lint_code(paths, passes=passes)
-    ok = report_passes_gate(report, strict=args.strict)
+    report, _model = lint_code(args.paths or None, passes=_pass_names(args))
+    report.strict = args.strict
     if args.json:
         payload = report.to_json_dict()
         payload["strict"] = args.strict
-        payload["ok"] = ok
         text = _json.dumps(payload, indent=2)
     else:
         text = report.format()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"code lint report written to {args.out}")
-        if not args.json:
-            print(text)
-    else:
-        print(text)
-    return 0 if ok else 1
+    _emit_report(args, text, "code lint")
+    return 0 if report.ok else 1
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
@@ -1163,37 +1180,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sequence length, k suffix ok (default: 8k)",
     )
     p_lint.add_argument(
-        "--passes",
-        default=None,
-        metavar="A,B,...",
-        help="run only these analysis passes (default: all registered)",
-    )
-    p_lint.add_argument(
-        "--list-passes",
-        action="store_true",
-        help="list the registered analysis passes and exit",
-    )
-    p_lint.add_argument(
-        "--strict",
-        action="store_true",
-        help="promote warnings to failures (exit 1 on any finding)",
-    )
-    p_lint.add_argument(
         "--verbose",
         action="store_true",
         help="show warning/info findings in the table, not just errors",
     )
-    p_lint.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-readable lint report instead of tables",
-    )
-    p_lint.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="also write the report to PATH (CI uploads it on failure)",
-    )
+    _add_lint_args(p_lint, "analysis")
     p_lint.set_defaults(fn=_cmd_lint)
 
     p_lint_code = sub.add_parser(
@@ -1208,33 +1199,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="files/directories to sweep (default: src/repro/service "
         "and src/repro/tuner)",
     )
-    p_lint_code.add_argument(
-        "--passes",
-        default=None,
-        metavar="A,B,...",
-        help="run only these code passes (default: all registered)",
-    )
-    p_lint_code.add_argument(
-        "--list-passes",
-        action="store_true",
-        help="list the registered code passes and exit",
-    )
-    p_lint_code.add_argument(
-        "--strict",
-        action="store_true",
-        help="promote warnings to failures (exit 1 on any finding)",
-    )
-    p_lint_code.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-readable report instead of the table",
-    )
-    p_lint_code.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="also write the report to PATH (CI uploads it on failure)",
-    )
+    _add_lint_args(p_lint_code, "code")
     p_lint_code.set_defaults(fn=_cmd_lint_code)
 
     p_tune = sub.add_parser(

@@ -5,16 +5,11 @@ nodes with a fat InfiniBand fabric; pipeline p2p therefore crosses node
 boundaries while sequence parallelism stays inside a node.  ``ClusterSpec``
 captures that arrangement, and :meth:`ClusterSpec.p2p_time` gives the
 alpha-beta cost of a pipeline transfer between two stages.
-
-A :class:`networkx.DiGraph` view is exposed for tooling (visualisation,
-path queries); the simulator itself uses the direct accessors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from repro.cluster.node import A800_NODE, H20_NODE, NodeSpec
 
@@ -89,18 +84,6 @@ class ClusterSpec:
         if kind == "all_reduce":
             steps *= 2.0  # reduce-scatter followed by all-gather
         return steps
-
-    def as_graph(self) -> "nx.DiGraph":
-        """Directed graph of stages with link-bandwidth edge attributes."""
-        g = nx.DiGraph(name=self.name or f"{self.node.gpu.name}x{self.num_nodes}")
-        for i in range(self.num_nodes):
-            g.add_node(i, gpu=self.node.gpu.name, hbm_gib=self.node.gpu.hbm_gib)
-        bw = self.p2p_bytes_per_s()
-        for i in range(self.num_nodes):
-            for j in range(self.num_nodes):
-                if i != j:
-                    g.add_edge(i, j, bytes_per_s=bw, latency_s=self.node.ib_latency_s)
-        return g
 
 
 def abstract_cluster(

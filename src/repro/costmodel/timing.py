@@ -23,7 +23,6 @@ milliseconds for the 7B layer reproduce the magnitudes of Figure 9.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.cluster.gpu import GPUSpec
 from repro.costmodel.table1 import op_costs
@@ -34,9 +33,6 @@ __all__ = [
     "LayerTimes",
     "TimingModel",
     "unit_layer_times",
-    "BatchPhaseTimes",
-    "BatchLayerTimes",
-    "batch_layer_times",
 ]
 
 _FP16_BYTES = 2.0
@@ -245,158 +241,6 @@ class TimingModel:
             "attn_bwd": lt.attn.bwd,
             "post_attn_bwd": lt.post.bwd,
         }
-
-
-# -- batched evaluation ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BatchPhaseTimes:
-    """Durations of one layer phase for an array of workload shapes.
-
-    The vector counterpart of :class:`PhaseTimes`: each field is a numpy
-    float64 array, one entry per ``(micro_batch, seq_len)`` point.
-    """
-
-    fwd: Any
-    bwd_b: Any
-    bwd_w: Any
-
-    @property
-    def bwd(self):
-        return self.bwd_b + self.bwd_w
-
-    def scalar(self, i: int) -> PhaseTimes:
-        """The ``i``-th point as a plain :class:`PhaseTimes`."""
-        return PhaseTimes(
-            float(self.fwd[i]), float(self.bwd_b[i]), float(self.bwd_w[i])
-        )
-
-
-@dataclass(frozen=True)
-class BatchLayerTimes:
-    """Phase times of a full layer for an array of workload shapes.
-
-    The vector counterpart of :class:`LayerTimes`, produced by
-    :func:`batch_layer_times`.  Aggregate properties broadcast over the
-    whole batch.
-    """
-
-    pre: BatchPhaseTimes
-    attn: BatchPhaseTimes
-    post: BatchPhaseTimes
-    qkv: BatchPhaseTimes
-
-    @property
-    def fwd(self):
-        return self.pre.fwd + self.attn.fwd + self.post.fwd
-
-    @property
-    def bwd(self):
-        return self.pre.bwd + self.attn.bwd + self.post.bwd
-
-    @property
-    def bwd_b(self):
-        return self.pre.bwd_b + self.attn.bwd_b + self.post.bwd_b
-
-    @property
-    def total(self):
-        return self.fwd + self.bwd
-
-    def __len__(self) -> int:
-        return int(self.pre.fwd.shape[0])
-
-    def scalar(self, i: int) -> LayerTimes:
-        """The ``i``-th point as a plain :class:`LayerTimes`."""
-        return LayerTimes(
-            pre=self.pre.scalar(i),
-            attn=self.attn.scalar(i),
-            post=self.post.scalar(i),
-            qkv=self.qkv.scalar(i),
-        )
-
-
-def batch_layer_times(
-    gpu: GPUSpec,
-    model: ModelConfig,
-    micro_batches,
-    seq_lens,
-    sp: int = 8,
-    causal: bool = True,
-) -> BatchLayerTimes:
-    """Vectorised :meth:`TimingModel.layer_times` over workload shapes.
-
-    ``micro_batches`` and ``seq_lens`` are broadcast-compatible arrays of
-    shapes; the result holds one entry per broadcast point.  The
-    arithmetic mirrors the scalar model operation-for-operation (same
-    roofline rates, same causal discount, same sequence-parallel
-    division), so each entry equals the scalar
-    :meth:`~TimingModel.layer_times` for that shape -- the tuner prices a
-    whole candidate grid in one numpy pass and the scalar model stays
-    the single source of truth for what is computed.
-    """
-    # Deferred + optional: the scalar TimingModel is numpy-free, and the
-    # tuner (repro.tuner.bounds) falls back to it when numpy is absent.
-    try:
-        import numpy as np
-    except ImportError:
-        raise ImportError(
-            "batch_layer_times requires numpy for vectorised pricing; "
-            "on a numpy-free install use TimingModel(...).layer_times() "
-            "per shape (identical arithmetic, one point at a time)"
-        ) from None
-
-    b, s = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(micro_batches, dtype=np.float64)),
-        np.atleast_1d(np.asarray(seq_lens, dtype=np.float64)),
-    )
-    if b.size and (b.min() <= 0 or s.min() <= 0):
-        raise ValueError("micro_batches and seq_lens must be positive")
-    if sp <= 0:
-        raise ValueError("sp must be positive")
-    h = float(model.hidden_size)
-    k = CAUSAL_FACTOR if causal else 1.0
-
-    gemm_rate = gpu.matmul_flops_per_s
-    attn_rate = gpu.attn_flops_per_s
-    hbm_rate = gpu.hbm_bytes_per_s
-
-    def gemm(flops):
-        return (flops / sp) / gemm_rate
-
-    def attn(flops):
-        return (flops * k / sp) / attn_rate
-
-    def elemwise(elems, passes):
-        return (elems * passes * _FP16_BYTES / sp) / hbm_rate
-
-    bsh = b * s * h
-    bsh2 = bsh * h  # b*s*h^2
-    bhs2 = b * h * s * s  # b*h*s^2
-
-    # Table 1 rows, phase by phase (mirrors TimingModel exactly).
-    qkv = BatchPhaseTimes(
-        fwd=gemm(6 * bsh2), bwd_b=gemm(6 * bsh2), bwd_w=gemm(6 * bsh2)
-    )
-    pre = BatchPhaseTimes(
-        fwd=elemwise(bsh, 2.0) + qkv.fwd,
-        bwd_b=elemwise(bsh, 4.0) + qkv.bwd_b,
-        bwd_w=0.0 + qkv.bwd_w,
-    )
-    attn_t = BatchPhaseTimes(
-        fwd=attn(4 * bhs2),
-        bwd_b=attn(8 * bhs2),
-        bwd_w=np.zeros_like(bsh),
-    )
-    gemm_post = 2 * bsh2 + 8 * bsh2 + 8 * bsh2  # o_linear + linear1 + linear2
-    elem_fwd = elemwise(bsh, 2.0) + elemwise(4 * bsh, 2.0)
-    elem_bwd = elemwise(bsh, 4.0) + elemwise(4 * bsh, 4.0)
-    post = BatchPhaseTimes(
-        fwd=gemm(gemm_post) + elem_fwd,
-        bwd_b=gemm(gemm_post) + elem_bwd,
-        bwd_w=gemm(gemm_post),
-    )
-    return BatchLayerTimes(pre=pre, attn=attn_t, post=post, qkv=qkv)
 
 
 def unit_layer_times(ratio: tuple[float, float, float] = (1.0, 3.0, 2.0)) -> LayerTimes:

@@ -1,9 +1,10 @@
 """Lock-discipline static analyzer for the repo's threaded packages.
 
 The concurrency sibling of :mod:`repro.schedules.analysis`: an AST
-model of the repo's own sources (:mod:`.model`), a registered-pass
-framework (:mod:`.framework`), four built-in passes (``guarded-by``,
-``lock-order``, ``blocking-under-lock``, ``thread-hygiene``), a runtime
+model of the repo's own sources (:mod:`.model`), a pass registry on
+the shared :mod:`repro.passkit` framework (:mod:`.framework`), four
+built-in passes (``guarded-by``, ``lock-order``,
+``blocking-under-lock``, ``thread-hygiene``), a runtime
 lock-order verifier (:mod:`.runtime`) and the ``repro lint-code``
 driver (:mod:`.driver`).
 """
@@ -11,19 +12,8 @@ driver (:mod:`.driver`).
 from repro.devtools.concurrency.driver import (
     DEFAULT_LINT_PATHS,
     lint_code,
-    report_passes_gate,
 )
-from repro.devtools.concurrency.framework import (
-    CodeAnalysisReport,
-    CodeIssue,
-    CodePass,
-    Severity,
-    available_code_passes,
-    format_code_issue_table,
-    get_code_pass,
-    register_code_pass,
-    run_code_analysis,
-)
+from repro.devtools.concurrency.framework import CODE_PASSES, CodeIssue
 from repro.devtools.concurrency.model import (
     ProjectModel,
     build_model,
@@ -40,16 +30,8 @@ from repro.devtools.concurrency.runtime import (
 __all__ = [
     "DEFAULT_LINT_PATHS",
     "lint_code",
-    "report_passes_gate",
-    "CodeAnalysisReport",
+    "CODE_PASSES",
     "CodeIssue",
-    "CodePass",
-    "Severity",
-    "available_code_passes",
-    "format_code_issue_table",
-    "get_code_pass",
-    "register_code_pass",
-    "run_code_analysis",
     "ProjectModel",
     "build_model",
     "parse_module",

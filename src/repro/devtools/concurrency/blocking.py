@@ -15,17 +15,14 @@ either the blocking line or the lock's ``with`` line::
 
 from __future__ import annotations
 
-from repro.devtools.concurrency.framework import (
-    CodeIssue,
-    Severity,
-    register_code_pass,
-)
+from repro.devtools.concurrency.framework import CODE_PASSES, CodeIssue
 from repro.devtools.concurrency.model import ProjectModel
+from repro.passkit import Severity
 
 PASS_NAME = "blocking-under-lock"
 
 
-@register_code_pass(
+@CODE_PASSES.register(
     PASS_NAME,
     description="no subprocess/sqlite/file-io/join/wait while holding a lock",
     category="concurrency",

@@ -1,95 +1,45 @@
-"""Pass framework for the concurrency lint over the repo's own sources.
+"""The code side of the pass framework (:mod:`repro.passkit`).
 
-This is the code-level sibling of the schedule-IR pass framework
-(:mod:`repro.schedules.analysis.framework`), and deliberately mirrors
-its shape: registered passes, severity-ranked structured findings, a
-dependency-gated pipeline runner, aligned-table and JSON rendering.
-The differences follow from the subject matter -- a pass here analyzes
-a whole :class:`~repro.devtools.concurrency.model.ProjectModel` (every
+The concurrency lint registers its passes on :data:`CODE_PASSES`, the
+sibling of the schedule analyzer's registry.  A pass here analyzes a
+whole :class:`~repro.devtools.concurrency.model.ProjectModel` (every
 module swept together, because lock order and call resolution are
-cross-module properties), and a finding anchors to ``file:line`` plus
-the enclosing function instead of stage/step/tag.
+cross-module properties), and a finding -- a :class:`CodeIssue` --
+anchors to ``file:line`` plus the enclosing function instead of
+stage/step/tag.  See :mod:`repro.passkit` for the pass-author API; a
+code pass takes ``(model)`` and may call the model's
+resolution/fixpoint helpers but never mutates it.
 
-Writing a new pass
-------------------
-
-Register a function taking the project model and returning issues; it
-becomes available to :func:`run_code_analysis` and the ``repro
-lint-code`` CLI immediately::
-
-    from repro.devtools.concurrency.framework import (
-        CodeIssue, Severity, register_code_pass,
-    )
-
-    @register_code_pass(
-        "my-pass",
-        description="one-line summary for listings",
-        category="concurrency",     # concurrency | hygiene
-        requires=(),                # skip when these passes found errors
-    )
-    def check_my_property(model):
-        issues = []
-        for fn in model.all_functions():
-            if _violates(fn):
-                issues.append(CodeIssue(
-                    "my-pass",
-                    "what went wrong, in one sentence",
-                    severity=Severity.WARNING,
-                    file=fn.file,
-                    line=fn.line,
-                    function=fn.qualname,
-                ))
-        return issues
-
-Passes must be *pure* observers of the model: they may call its
-resolution/fixpoint helpers but never mutate it.  Severity semantics
-match the schedule analyzer: ``ERROR`` means the code violates the
-declared locking discipline (``repro lint-code`` exits non-zero);
-``WARNING`` means a hazard worth a human look (``--strict`` promotes it
-to a failure); ``INFO`` is advisory.  Respect the allowlist: a finding
-whose line -- or whose guarding lock's acquisition line -- carries a
-``# lint-code: allow(<pass-name>) -- reason`` comment is suppressed by
-convention, via :meth:`ProjectModel.allowed
+Severity semantics match the schedule analyzer: ``ERROR`` means the
+code violates the declared locking discipline (``repro lint-code``
+exits non-zero); ``WARNING`` means a hazard worth a human look
+(``--strict`` promotes it to a failure); ``INFO`` is advisory.  Respect
+the allowlist: a finding whose line -- or whose guarding lock's
+acquisition line -- carries a ``# lint-code: allow(<pass-name>) --
+reason`` comment is suppressed by convention, via
+:meth:`ProjectModel.allowed
 <repro.devtools.concurrency.model.ProjectModel.allowed>`.
 """
 
 from __future__ import annotations
 
-import importlib
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from dataclasses import dataclass
 
-from repro.schedules.analysis.framework import Severity
+from repro.passkit import Issue, PassRegistry, Severity
 
-if TYPE_CHECKING:
-    from repro.devtools.concurrency.model import ProjectModel
-
-__all__ = [
-    "Severity",
-    "CodeIssue",
-    "CodePass",
-    "CodeAnalysisReport",
-    "register_code_pass",
-    "get_code_pass",
-    "available_code_passes",
-    "run_code_analysis",
-    "format_code_issue_table",
-]
+__all__ = ["CodeIssue", "CODE_PASSES"]
 
 
 @dataclass(frozen=True)
-class CodeIssue:
-    """One finding of a code-analysis pass, with file/line provenance.
+class CodeIssue(Issue):
+    """One finding of a code pass, with file/line provenance.
 
     ``function`` is the qualified name of the enclosing function or
     method (``module.Class.method``); ``symbol`` names the field, lock
-    or thread the finding is about.  Both are optional -- module-wide
-    findings leave them ``None``.
+    or thread the finding is about.  All four are optional --
+    module-wide findings leave them ``None``.
     """
 
-    pass_name: str
-    message: str
-    severity: Severity = Severity.ERROR
     file: str | None = None
     line: int | None = None
     function: str | None = None
@@ -105,224 +55,31 @@ class CodeIssue:
         fn = f" [{self.function}]" if self.function else ""
         return f"[{self.pass_name}]{sev}{where}{fn} {self.message}"
 
+    @classmethod
+    def columns(cls) -> tuple[str, ...]:
+        return ("location", "function")
 
-#: A pass body: ``(model) -> issues``.
-CodePassBody = Callable[["ProjectModel"], list[CodeIssue]]
-
-
-@dataclass(frozen=True)
-class CodePass:
-    """One registered code-analysis pass: metadata plus the body.
-
-    ``requires`` names passes whose ERROR findings make this pass
-    meaningless; :func:`run_code_analysis` skips it with a recorded
-    reason instead of reporting noise.
-    """
-
-    name: str
-    fn: CodePassBody
-    description: str = ""
-    category: str = "concurrency"
-    requires: tuple[str, ...] = ()
-
-    def run(self, model: "ProjectModel") -> list[CodeIssue]:
-        return self.fn(model)
-
-
-_CODE_PASS_REGISTRY: dict[str, CodePass] = {}
-
-#: Modules whose import registers the built-in passes, in report order.
-#: Imported lazily so this module has no import-time dependency on the
-#: pass bodies (which import it back).
-_BUILTIN_PASS_MODULES = (
-    "repro.devtools.concurrency.guarded",
-    "repro.devtools.concurrency.lockorder",
-    "repro.devtools.concurrency.blocking",
-    "repro.devtools.concurrency.hygiene",
-)
-_builtin_loaded = False
-
-
-def _ensure_builtin() -> None:
-    global _builtin_loaded
-    if _builtin_loaded:
-        return
-    for mod in _BUILTIN_PASS_MODULES:
-        importlib.import_module(mod)
-    _builtin_loaded = True
-
-
-def register_code_pass(
-    name: str,
-    *,
-    description: str = "",
-    category: str = "concurrency",
-    requires: Sequence[str] = (),
-) -> Callable[[CodePassBody], CodePassBody]:
-    """Decorator registering a code-analysis pass under ``name``."""
-
-    def deco(fn: CodePassBody) -> CodePassBody:
-        if name in _CODE_PASS_REGISTRY:
-            raise ValueError(f"code analysis pass {name!r} already registered")
-        _CODE_PASS_REGISTRY[name] = CodePass(
-            name=name,
-            fn=fn,
-            description=description,
-            category=category,
-            requires=tuple(requires),
-        )
-        return fn
-
-    return deco
-
-
-def get_code_pass(name: str) -> CodePass:
-    """Look up a registered code pass by name."""
-    _ensure_builtin()
-    try:
-        return _CODE_PASS_REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown code analysis pass {name!r}; "
-            f"registered: {available_code_passes()}"
-        ) from None
-
-
-def available_code_passes() -> list[str]:
-    """Names of every registered code pass, in registration order."""
-    _ensure_builtin()
-    return list(_CODE_PASS_REGISTRY)
-
-
-# -- reports -----------------------------------------------------------------
-
-
-def format_code_issue_table(issues: Iterable[CodeIssue]) -> str:
-    """Render issues as an aligned ASCII table (rows in the order given)."""
-    rows = [("pass", "severity", "location", "function", "message")]
-    for i in issues:
+    def cells(self) -> tuple[str, ...]:
         loc = "-"
-        if i.file is not None:
-            loc = i.file if i.line is None else f"{i.file}:{i.line}"
-        rows.append(
-            (
-                i.pass_name,
-                i.severity.value,
-                loc,
-                i.function or "-",
-                i.message,
-            )
-        )
-    widths = [max(len(r[c]) for r in rows) for c in range(4)]
-    lines = []
-    for r in rows:
-        head = "  ".join(r[c].ljust(widths[c]) for c in range(4))
-        lines.append(f"{head}  {r[4]}".rstrip())
-    lines.insert(1, "  ".join("-" * w for w in widths) + "  " + "-" * 7)
-    return "\n".join(lines)
+        if self.file is not None:
+            loc = self.file if self.line is None else f"{self.file}:{self.line}"
+        return (loc, self.function or "-")
+
+    def sort_key(self) -> tuple:
+        return (-self.severity.rank, self.file or "", self.line or 0)
 
 
-@dataclass
-class CodeAnalysisReport:
-    """Everything one :func:`run_code_analysis` invocation found.
-
-    ``skipped`` maps pass name -> reason for passes whose declared
-    dependencies reported errors.
-    """
-
-    files: tuple[str, ...] = ()
-    issues: list[CodeIssue] = field(default_factory=list)
-    passes_run: tuple[str, ...] = ()
-    skipped: dict[str, str] = field(default_factory=dict)
-
-    def by_severity(self, severity: Severity) -> list[CodeIssue]:
-        return [i for i in self.issues if i.severity is severity]
-
-    @property
-    def errors(self) -> list[CodeIssue]:
-        return self.by_severity(Severity.ERROR)
-
-    @property
-    def warnings(self) -> list[CodeIssue]:
-        return self.by_severity(Severity.WARNING)
-
-    @property
-    def ok(self) -> bool:
-        """No errors (warnings and infos do not fail an analysis)."""
-        return not self.errors
-
-    def format(self) -> str:
-        lines = [
-            f"{len(self.files)} file(s): "
-            f"{len(self.errors)} error(s), {len(self.warnings)} warning(s), "
-            f"{len(self.by_severity(Severity.INFO))} info "
-            f"({len(self.passes_run)} passes run)"
-        ]
-        if self.issues:
-            ordered = sorted(
-                self.issues,
-                key=lambda i: (-i.severity.rank, i.file or "", i.line or 0),
-            )
-            lines.append(format_code_issue_table(ordered))
-        for name, reason in self.skipped.items():
-            lines.append(f"skipped {name}: {reason}")
-        return "\n".join(lines)
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "files": list(self.files),
-            "ok": self.ok,
-            "passes_run": list(self.passes_run),
-            "skipped": dict(self.skipped),
-            "issues": [
-                {
-                    "pass": i.pass_name,
-                    "severity": i.severity.value,
-                    "file": i.file,
-                    "line": i.line,
-                    "function": i.function,
-                    "symbol": i.symbol,
-                    "message": i.message,
-                }
-                for i in self.issues
-            ],
-        }
-
-
-def run_code_analysis(
-    model: "ProjectModel",
-    passes: Sequence[str | CodePass] | None = None,
-) -> CodeAnalysisReport:
-    """Run a code-analysis pipeline and collect every finding.
-
-    Runs every requested pass -- skipping only those whose declared
-    ``requires`` dependencies reported errors -- and returns the full
-    report.  ``passes`` accepts registered names or :class:`CodePass`
-    objects; ``None`` runs every registered pass in registration order.
-    """
-    if passes is None:
-        resolved = [get_code_pass(n) for n in available_code_passes()]
-    else:
-        resolved = [
-            p if isinstance(p, CodePass) else get_code_pass(p) for p in passes
-        ]
-
-    report = CodeAnalysisReport(
-        files=tuple(m.path for m in model.modules),
-    )
-    failed: set[str] = set()
-    ran: list[str] = []
-    for p in resolved:
-        broken = sorted(set(p.requires) & failed)
-        if broken:
-            report.skipped[p.name] = (
-                f"prerequisite pass(es) {', '.join(broken)} reported errors"
-            )
-            continue
-        issues = p.run(model)
-        ran.append(p.name)
-        report.issues.extend(issues)
-        if any(i.severity is Severity.ERROR for i in issues):
-            failed.add(p.name)
-    report.passes_run = tuple(ran)
-    return report
+#: Every code pass, in report order.
+CODE_PASSES: PassRegistry[CodeIssue] = PassRegistry(
+    "code analysis pass",
+    describe=lambda model: (
+        f"{len(model.modules)} file(s)",
+        {"files": [m.path for m in model.modules]},
+    ),
+    builtin=(
+        "repro.devtools.concurrency.guarded",
+        "repro.devtools.concurrency.lockorder",
+        "repro.devtools.concurrency.blocking",
+        "repro.devtools.concurrency.hygiene",
+    ),
+)

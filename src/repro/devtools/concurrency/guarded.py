@@ -16,17 +16,14 @@ not yet / no longer shared), as is any line carrying
 
 from __future__ import annotations
 
-from repro.devtools.concurrency.framework import (
-    CodeIssue,
-    Severity,
-    register_code_pass,
-)
+from repro.devtools.concurrency.framework import CODE_PASSES, CodeIssue
 from repro.devtools.concurrency.model import _EXEMPT_METHODS, ProjectModel
+from repro.passkit import Severity
 
 PASS_NAME = "guarded-by"
 
 
-@register_code_pass(
+@CODE_PASSES.register(
     PASS_NAME,
     description="guarded fields only touched inside `with <their lock>`",
     category="concurrency",

@@ -19,17 +19,14 @@ Three checks:
 
 from __future__ import annotations
 
-from repro.devtools.concurrency.framework import (
-    CodeIssue,
-    Severity,
-    register_code_pass,
-)
+from repro.devtools.concurrency.framework import CODE_PASSES, CodeIssue
 from repro.devtools.concurrency.model import ProjectModel
+from repro.passkit import Severity
 
 PASS_NAME = "thread-hygiene"
 
 
-@register_code_pass(
+@CODE_PASSES.register(
     PASS_NAME,
     description="threads tracked for shutdown; thread-local resources closed",
     category="hygiene",

@@ -14,12 +14,9 @@ and is reported separately; RLocks are exempt from self-edges.
 
 from __future__ import annotations
 
-from repro.devtools.concurrency.framework import (
-    CodeIssue,
-    Severity,
-    register_code_pass,
-)
+from repro.devtools.concurrency.framework import CODE_PASSES, CodeIssue
 from repro.devtools.concurrency.model import ProjectModel
+from repro.passkit import Severity
 
 PASS_NAME = "lock-order"
 
@@ -88,7 +85,7 @@ def _find_cycles(edges: set[tuple[str, str]]) -> list[list[str]]:
     return cycles
 
 
-@register_code_pass(
+@CODE_PASSES.register(
     PASS_NAME,
     description="static lock-acquisition graph is acyclic (no deadlocks)",
     category="concurrency",

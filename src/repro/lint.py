@@ -2,7 +2,7 @@
 
 :func:`lint_schedules` builds every requested registered schedule for a
 preset workload at each pipeline size, runs the full analysis pipeline
-(:func:`repro.schedules.analysis.run_analysis`) with the workload's
+(:data:`~repro.schedules.analysis.SCHEDULE_PASSES`) with the workload's
 static memory and HBM cap as context, and aggregates the findings into
 one :class:`LintReport`.  The CLI renders it as aligned tables or JSON;
 exit status is non-zero only on ERROR findings (``strict=True`` promotes
@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from repro.passkit import Report
 from repro.schedules.analysis import (
+    SCHEDULE_PASSES,
     AnalysisContext,
-    AnalysisReport,
-    format_issue_table,
-    run_analysis,
+    PassIssue,
     static_peak_memory,
 )
 from repro.schedules.registry import (
@@ -53,7 +53,7 @@ class LintCell:
     p: int
     m: int
     recompute: str
-    report: AnalysisReport | None = None
+    report: Report[PassIssue] | None = None
     static_peaks: list[float] = field(default_factory=list)
     skip_reason: str | None = None
 
@@ -126,9 +126,7 @@ class LintReport:
             if not verbose and self.strict:
                 shown = c.report.issues
             if shown:
-                table = format_issue_table(
-                    sorted(shown, key=lambda i: (-i.severity.rank,))
-                )
+                table = PassIssue.table(sorted(shown, key=PassIssue.sort_key))
                 lines.extend("    " + ln for ln in table.splitlines())
         gate = "strict (warnings fail)" if self.strict else "errors fail"
         lines.append(
@@ -198,7 +196,7 @@ def lint_schedules(
                 cell.skip_reason = str(err)
                 cells.append(cell)
                 continue
-            cell.report = run_analysis(sched, passes=passes, context=context)
+            cell.report = SCHEDULE_PASSES.run(sched, passes=passes, context=context)
             cell.static_peaks = static_peak_memory(sched, static)
             cells.append(cell)
     label = (

@@ -1,6 +1,8 @@
-"""Static analysis over the schedule IR: pass framework + dataflow passes.
+"""Static analysis over the schedule IR: the pass registry + dataflow passes.
 
-See :mod:`repro.schedules.analysis.framework` for the pass-author API.
+Every pass is registered on :data:`SCHEDULE_PASSES`
+(:mod:`repro.schedules.analysis.framework`, built on the shared
+:mod:`repro.passkit` framework, which documents the pass-author API).
 Built-in passes (also runnable via ``repro lint``):
 
 ========================  ===========  =========================================
@@ -18,31 +20,19 @@ pass                      severity     property proved
 ========================  ===========  =========================================
 """
 
+from repro.passkit import Severity
 from repro.schedules.analysis.framework import (
+    SCHEDULE_PASSES,
     AnalysisContext,
-    AnalysisPass,
-    AnalysisReport,
     PassIssue,
-    Severity,
-    available_passes,
-    format_issue_table,
-    get_pass,
-    register_pass,
-    run_analysis,
 )
 from repro.schedules.analysis.memory import static_peak_memory, stash_liveness
 
 __all__ = [
+    "SCHEDULE_PASSES",
     "AnalysisContext",
-    "AnalysisPass",
-    "AnalysisReport",
     "PassIssue",
     "Severity",
-    "available_passes",
-    "format_issue_table",
-    "get_pass",
-    "register_pass",
-    "run_analysis",
     "static_peak_memory",
     "stash_liveness",
 ]

@@ -35,11 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.passkit import Severity
 from repro.schedules.analysis.framework import (
+    SCHEDULE_PASSES,
     AnalysisContext,
     PassIssue,
-    Severity,
-    register_pass,
 )
 from repro.schedules.ir import RecvInstr, Schedule, SendInstr
 
@@ -122,7 +122,7 @@ def _capped(issues: list[PassIssue], more: Iterable[PassIssue]) -> None:
 # -- pairing -----------------------------------------------------------------
 
 
-@register_pass(
+@SCHEDULE_PASSES.register(
     "comm-pairing",
     description="orphaned/mismatched P2P pairs on the channel graph",
     category="hazard",
@@ -243,7 +243,7 @@ def _longest_in_order(seq: list[int]) -> set[int]:
     return out
 
 
-@register_pass(
+@SCHEDULE_PASSES.register(
     "comm-order",
     description="same-channel send/recv ordering races (in-order transports)",
     category="hazard",
@@ -301,7 +301,7 @@ def check_comm_order(
 # -- head-of-line blocking ---------------------------------------------------
 
 
-@register_pass(
+@SCHEDULE_PASSES.register(
     "comm-hol",
     description="head-of-line blocking cycles under in-order channel matching",
     category="hazard",

@@ -23,11 +23,11 @@ All findings are warnings: the schedule is correct, just wasteful.
 
 from __future__ import annotations
 
+from repro.passkit import Severity
 from repro.schedules.analysis.framework import (
+    SCHEDULE_PASSES,
     AnalysisContext,
     PassIssue,
-    Severity,
-    register_pass,
 )
 from repro.schedules.ir import ComputeInstr, Schedule
 
@@ -41,7 +41,7 @@ def _seg_key(instr: ComputeInstr) -> tuple:
     return (instr.micro_batch, seg.kind, seg.layer, seg.num_layers)
 
 
-@register_pass(
+@SCHEDULE_PASSES.register(
     "dead-code",
     description="no-op computes, redundant stash push/pop pairs, unreachable ops",
     category="hygiene",

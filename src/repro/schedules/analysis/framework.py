@@ -1,123 +1,35 @@
-"""Static-analysis pass framework over the schedule IR.
+"""The schedule-IR side of the pass framework (:mod:`repro.passkit`).
 
 The verification passes in :mod:`repro.schedules.passes` prove
 executability; the analyses in this package prove stronger properties
 (communication-hazard freedom, static peak memory, instruction hygiene)
-*before* any simulation.  All of them plug into one framework:
+*before* any simulation.  All of them are registered on
+:data:`SCHEDULE_PASSES`: each is a function from ``(schedule, context)``
+to a list of :class:`PassIssue` findings, and
+``SCHEDULE_PASSES.run(schedule, passes=None, context=None)`` runs them
+with dependency skipping.  See :mod:`repro.passkit` for the pass-author
+API.
 
-* every analysis is a registered :class:`AnalysisPass` -- a named
-  function from ``(schedule, context)`` to a list of
-  :class:`PassIssue` findings;
-* every finding carries a :class:`Severity` and structured provenance
-  (rank/stage, program step index, message tag), so reports can be
-  rendered as aligned tables or machine-readable JSON;
-* :func:`run_analysis` runs a pass pipeline with dependency skipping
-  (a pass declaring ``requires=("structure",)`` is skipped, with a
-  recorded reason, when the structure pass found errors -- its own
-  findings would be noise on a malformed program) and returns an
-  :class:`AnalysisReport`.
-
-Writing a new pass
-------------------
-
-Register a function taking the schedule (and optionally the analysis
-context) and returning issues; it becomes available to
-:func:`run_analysis` and the ``repro lint`` CLI immediately::
-
-    from repro.schedules.analysis.framework import (
-        PassIssue, Severity, register_pass,
-    )
-
-    @register_pass(
-        "my-pass",
-        description="one-line summary for listings",
-        category="hazard",          # executability | hazard | memory | hygiene
-        requires=("structure",),    # skip when these passes found errors
-    )
-    def check_my_property(schedule, context):
-        issues = []
-        for stage, prog in enumerate(schedule.programs):
-            for step, instr in enumerate(prog):
-                if _violates(instr):
-                    issues.append(PassIssue(
-                        "my-pass",
-                        "what went wrong, in one sentence",
-                        severity=Severity.WARNING,
-                        stage=stage,
-                        step=step,
-                        tag=getattr(instr, "tag", None),
-                    ))
-        return issues
-
-Passes must be *pure* observers: they may read the schedule and context
-but never mutate either.  Severity semantics: ``ERROR`` findings mean
-the schedule is wrong (``repro lint`` exits non-zero); ``WARNING`` means
-the schedule executes under the IR's asynchronous tag-matched semantics
-but carries a portability or hygiene hazard; ``INFO`` is advisory.
+A finding anchors to the rank/stage, the program step index and the
+message tag involved.  Severity semantics here: ``ERROR`` means the
+schedule is wrong; ``WARNING`` means it executes under the IR's
+asynchronous tag-matched semantics but carries a portability or
+hygiene hazard; ``INFO`` is advisory.
 """
 
 from __future__ import annotations
 
-import enum
-import importlib
-import inspect
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from dataclasses import dataclass
 
+from repro.passkit import Issue, PassRegistry, Severity
 from repro.schedules.ir import Schedule
 
-__all__ = [
-    "Severity",
-    "PassIssue",
-    "AnalysisContext",
-    "AnalysisPass",
-    "AnalysisReport",
-    "register_pass",
-    "get_pass",
-    "available_passes",
-    "run_analysis",
-    "format_issue_table",
-]
-
-
-class Severity(enum.Enum):
-    """How bad a finding is.  Orders ``INFO < WARNING < ERROR``."""
-
-    INFO = "info"
-    WARNING = "warning"
-    ERROR = "error"
-
-    @property
-    def rank(self) -> int:
-        return _SEVERITY_RANK[self]
-
-    def __lt__(self, other: "Severity") -> bool:
-        if not isinstance(other, Severity):
-            return NotImplemented
-        return self.rank < other.rank
-
-    def __le__(self, other: "Severity") -> bool:
-        if not isinstance(other, Severity):
-            return NotImplemented
-        return self.rank <= other.rank
-
-    def __gt__(self, other: "Severity") -> bool:
-        if not isinstance(other, Severity):
-            return NotImplemented
-        return self.rank > other.rank
-
-    def __ge__(self, other: "Severity") -> bool:
-        if not isinstance(other, Severity):
-            return NotImplemented
-        return self.rank >= other.rank
-
-
-_SEVERITY_RANK = {Severity.INFO: 0, Severity.WARNING: 1, Severity.ERROR: 2}
+__all__ = ["PassIssue", "AnalysisContext", "SCHEDULE_PASSES"]
 
 
 @dataclass(frozen=True)
-class PassIssue:
-    """One finding of an analysis pass, with structured provenance.
+class PassIssue(Issue):
+    """One finding of a schedule pass, with structured provenance.
 
     ``stage`` is the rank/program the finding anchors to, ``step`` the
     instruction's index within that program, ``tag`` the message tag
@@ -125,9 +37,6 @@ class PassIssue:
     schedule-wide findings leave them ``None``.
     """
 
-    pass_name: str
-    message: str
-    severity: Severity = Severity.ERROR
     stage: int | None = None
     step: int | None = None
     tag: str | None = None
@@ -171,272 +80,20 @@ class AnalysisContext:
         return [float(x) for x in s]
 
 
-#: A pass body: ``(schedule, context) -> issues``.
-PassBody = Callable[[Schedule, AnalysisContext], list[PassIssue]]
-
-
-@dataclass(frozen=True)
-class AnalysisPass:
-    """One registered analysis: metadata plus the pass body.
-
-    ``requires`` names passes whose ERROR findings make this pass
-    meaningless (e.g. dataflow over unpaired tags); :func:`run_analysis`
-    skips it with a recorded reason instead of reporting noise.
-    """
-
-    name: str
-    fn: PassBody
-    description: str = ""
-    category: str = "correctness"
-    requires: tuple[str, ...] = ()
-
-    def run(
-        self, schedule: Schedule, context: AnalysisContext | None = None
-    ) -> list[PassIssue]:
-        return self.fn(schedule, context or AnalysisContext())
-
-
-_PASS_REGISTRY: dict[str, AnalysisPass] = {}
-
-#: Modules whose import registers the built-in passes, in report order:
-#: executability first (the legacy ``Schedule.validate()`` pipeline),
-#: then the dataflow analyses.  Imported lazily so this module has no
-#: import-time dependency on the pass bodies (which import it back).
-_BUILTIN_PASS_MODULES = (
-    "repro.schedules.passes",
-    "repro.schedules.analysis.commrace",
-    "repro.schedules.analysis.memory",
-    "repro.schedules.analysis.deadcode",
+#: Every schedule pass.  The built-in modules register, in report order,
+#: the executability checks (the legacy ``Schedule.validate()``
+#: pipeline) and then the dataflow analyses.
+SCHEDULE_PASSES: PassRegistry[PassIssue] = PassRegistry(
+    "analysis pass",
+    describe=lambda schedule: (
+        f"schedule {schedule.name!r}",
+        {"schedule": schedule.name},
+    ),
+    builtin=(
+        "repro.schedules.passes",
+        "repro.schedules.analysis.commrace",
+        "repro.schedules.analysis.memory",
+        "repro.schedules.analysis.deadcode",
+    ),
+    context=AnalysisContext,
 )
-_builtin_loaded = False
-
-
-def _ensure_builtin() -> None:
-    global _builtin_loaded
-    if _builtin_loaded:
-        return
-    for mod in _BUILTIN_PASS_MODULES:
-        importlib.import_module(mod)
-    # Only after every import succeeded (same discipline as the schedule
-    # registry): a failing pass module must fail loudly on next lookup.
-    _builtin_loaded = True
-
-
-def register_pass(
-    name: str,
-    *,
-    description: str = "",
-    category: str = "correctness",
-    requires: Sequence[str] = (),
-) -> Callable[[Callable[..., list[PassIssue]]], Callable[..., list[PassIssue]]]:
-    """Decorator registering an analysis pass under ``name``.
-
-    The decorated function may take ``(schedule)`` or
-    ``(schedule, context)``; single-argument passes (the legacy
-    executability checks) are wrapped so every registered body has the
-    uniform two-argument signature.  The function itself is returned
-    unchanged, so direct calls keep working.
-    """
-
-    def deco(fn: Callable[..., list[PassIssue]]) -> Callable[..., list[PassIssue]]:
-        if name in _PASS_REGISTRY:
-            raise ValueError(f"analysis pass {name!r} already registered")
-        params = [
-            p
-            for p in inspect.signature(fn).parameters.values()
-            if p.kind
-            in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-        ]
-        if len(params) == 1:
-            body: PassBody = lambda schedule, context, _fn=fn: _fn(schedule)
-        else:
-            body = fn
-        _PASS_REGISTRY[name] = AnalysisPass(
-            name=name,
-            fn=body,
-            description=description,
-            category=category,
-            requires=tuple(requires),
-        )
-        return fn
-
-    return deco
-
-
-def get_pass(name: str) -> AnalysisPass:
-    """Look up a registered pass by name."""
-    _ensure_builtin()
-    try:
-        return _PASS_REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown analysis pass {name!r}; registered: {available_passes()}"
-        ) from None
-
-
-def available_passes() -> list[str]:
-    """Names of every registered pass, in registration (report) order."""
-    _ensure_builtin()
-    return list(_PASS_REGISTRY)
-
-
-# -- reports -----------------------------------------------------------------
-
-
-def format_issue_table(issues: Iterable[PassIssue]) -> str:
-    """Render issues as an aligned ASCII table (severity-sorted input
-    is the caller's choice; rows render in the order given)."""
-    rows = [("pass", "severity", "stage", "step", "tag", "message")]
-    for i in issues:
-        rows.append(
-            (
-                i.pass_name,
-                i.severity.value,
-                "-" if i.stage is None else str(i.stage),
-                "-" if i.step is None else str(i.step),
-                "-" if i.tag is None else i.tag,
-                i.message,
-            )
-        )
-    widths = [max(len(r[c]) for r in rows) for c in range(5)]
-    lines = []
-    for r in rows:
-        head = "  ".join(r[c].ljust(widths[c]) for c in range(5))
-        lines.append(f"{head}  {r[5]}".rstrip())
-    lines.insert(1, "  ".join("-" * w for w in widths) + "  " + "-" * 7)
-    return "\n".join(lines)
-
-
-@dataclass
-class AnalysisReport:
-    """Everything one :func:`run_analysis` invocation found.
-
-    ``skipped`` maps pass name -> reason for passes whose declared
-    dependencies reported errors.
-    """
-
-    schedule_name: str
-    issues: list[PassIssue] = field(default_factory=list)
-    passes_run: tuple[str, ...] = ()
-    skipped: dict[str, str] = field(default_factory=dict)
-
-    def by_severity(self, severity: Severity) -> list[PassIssue]:
-        return [i for i in self.issues if i.severity is severity]
-
-    @property
-    def errors(self) -> list[PassIssue]:
-        return self.by_severity(Severity.ERROR)
-
-    @property
-    def warnings(self) -> list[PassIssue]:
-        return self.by_severity(Severity.WARNING)
-
-    @property
-    def ok(self) -> bool:
-        """No errors (warnings and infos do not fail an analysis)."""
-        return not self.errors
-
-    @property
-    def max_severity(self) -> Severity | None:
-        return max((i.severity for i in self.issues), default=None)
-
-    def format(self) -> str:
-        lines = [
-            f"schedule {self.schedule_name!r}: "
-            f"{len(self.errors)} error(s), {len(self.warnings)} warning(s), "
-            f"{len(self.by_severity(Severity.INFO))} info "
-            f"({len(self.passes_run)} passes run)"
-        ]
-        if self.issues:
-            ordered = sorted(
-                self.issues, key=lambda i: (-i.severity.rank,)
-            )
-            lines.append(format_issue_table(ordered))
-        for name, reason in self.skipped.items():
-            lines.append(f"skipped {name}: {reason}")
-        return "\n".join(lines)
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "schedule": self.schedule_name,
-            "ok": self.ok,
-            "passes_run": list(self.passes_run),
-            "skipped": dict(self.skipped),
-            "issues": [
-                {
-                    "pass": i.pass_name,
-                    "severity": i.severity.value,
-                    "stage": i.stage,
-                    "step": i.step,
-                    "tag": i.tag,
-                    "message": i.message,
-                }
-                for i in self.issues
-            ],
-        }
-
-
-def _dependency_order(passes: list[AnalysisPass]) -> list[AnalysisPass]:
-    """Stable topological order: prerequisites before dependents.
-
-    Registration order is import-order dependent (whichever pass module
-    gets imported first registers first), so the default pipeline sorts
-    by ``requires`` instead -- a pass never runs before the passes whose
-    errors would gate it.  Ties keep the given order; a dependency cycle
-    (a registration bug) degrades to the given order rather than looping.
-    """
-    names = {p.name for p in passes}
-    remaining = list(passes)
-    done: set[str] = set()
-    ordered: list[AnalysisPass] = []
-    while remaining:
-        for idx, p in enumerate(remaining):
-            if all(r in done or r not in names for r in p.requires):
-                ordered.append(p)
-                done.add(p.name)
-                del remaining[idx]
-                break
-        else:
-            ordered.extend(remaining)
-            break
-    return ordered
-
-
-def run_analysis(
-    schedule: Schedule,
-    passes: Sequence[str | AnalysisPass] | None = None,
-    context: AnalysisContext | None = None,
-) -> AnalysisReport:
-    """Run an analysis pipeline and collect every finding.
-
-    Unlike :func:`repro.schedules.passes.run_passes` (which stops at the
-    first failing executability pass and raises), this runs *every*
-    requested pass -- skipping only those whose declared ``requires``
-    dependencies reported errors -- and returns the full report.
-
-    ``passes`` accepts registered names or :class:`AnalysisPass`
-    objects; ``None`` runs every registered pass in registration order.
-    """
-    context = context or AnalysisContext()
-    if passes is None:
-        resolved = _dependency_order([get_pass(n) for n in available_passes()])
-    else:
-        resolved = [p if isinstance(p, AnalysisPass) else get_pass(p) for p in passes]
-
-    report = AnalysisReport(schedule_name=schedule.name)
-    failed: set[str] = set()
-    ran: list[str] = []
-    for p in resolved:
-        broken = sorted(set(p.requires) & failed)
-        if broken:
-            report.skipped[p.name] = (
-                f"prerequisite pass(es) {', '.join(broken)} reported errors"
-            )
-            continue
-        issues = p.run(schedule, context)
-        ran.append(p.name)
-        report.issues.extend(issues)
-        if any(i.severity is Severity.ERROR for i in issues):
-            failed.add(p.name)
-    report.passes_run = tuple(ran)
-    return report

@@ -20,11 +20,11 @@ plotting or explaining *where* the peak happens); the registered
 
 from __future__ import annotations
 
+from repro.passkit import Severity
 from repro.schedules.analysis.framework import (
+    SCHEDULE_PASSES,
     AnalysisContext,
     PassIssue,
-    Severity,
-    register_pass,
 )
 from repro.schedules.ir import ComputeInstr, Schedule
 
@@ -108,7 +108,7 @@ def _fmt_bytes(n: float) -> str:
     return f"{n:.0f} B"
 
 
-@register_pass(
+@SCHEDULE_PASSES.register(
     "peak-memory",
     description="static per-rank peak activation memory vs the GPU capacity",
     category="memory",

@@ -34,8 +34,8 @@ individual builders and in :mod:`repro.sim.engine`; the simulator keeps
 its runtime :class:`~repro.sim.engine.DeadlockError` only as a backstop.
 
 The four checks here are also registered (category ``executability``,
-severity ERROR) with the :mod:`repro.schedules.analysis` framework, so
-``run_analysis`` and ``repro lint`` run them alongside the dataflow
+severity ERROR) on :data:`~repro.schedules.analysis.framework.SCHEDULE_PASSES`,
+so ``SCHEDULE_PASSES.run`` and ``repro lint`` run them alongside the dataflow
 analyses; :func:`run_passes` keeps its historical fail-fast contract for
 ``Schedule.validate()``.
 """
@@ -44,12 +44,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from repro.schedules.analysis.framework import (
-    PassIssue,
-    Severity,
-    format_issue_table,
-    register_pass,
-)
+from repro.passkit import Severity
+from repro.schedules.analysis.framework import SCHEDULE_PASSES, PassIssue
 from repro.schedules.ir import (
     BACKWARD_OPS,
     ComputeInstr,
@@ -87,7 +83,7 @@ class ScheduleVerificationError(ValueError):
     def format(self) -> str:
         """The full issue list as an aligned table (no 8-row cap)."""
         header = f"schedule {self.schedule_name!r} failed verification:"
-        return f"{header}\n{format_issue_table(self.issues)}"
+        return f"{header}\n{PassIssue.table(self.issues)}"
 
 
 PassFn = Callable[[Schedule], list[PassIssue]]
@@ -96,7 +92,7 @@ PassFn = Callable[[Schedule], list[PassIssue]]
 # -- structure ---------------------------------------------------------------
 
 
-@register_pass(
+@SCHEDULE_PASSES.register(
     "structure",
     description="stage fields, SEND/RECV tag pairing, endpoint mirroring",
     category="executability",
@@ -186,7 +182,7 @@ def check_structure(schedule: Schedule) -> list[PassIssue]:
 # -- deadlock-freedom --------------------------------------------------------
 
 
-@register_pass(
+@SCHEDULE_PASSES.register(
     "deadlock",
     description="static deadlock-freedom under async tag-matched semantics",
     category="executability",
@@ -242,7 +238,7 @@ def _seg_key(instr: ComputeInstr) -> tuple:
     return (instr.micro_batch, seg.kind, seg.layer, seg.num_layers)
 
 
-@register_pass(
+@SCHEDULE_PASSES.register(
     "program-order",
     description="per-(micro batch, segment) F/RC/BI/BW ordering",
     category="executability",
@@ -312,7 +308,7 @@ def check_program_order(schedule: Schedule) -> list[PassIssue]:
 _STASH_REL_TOL = 1e-9
 
 
-@register_pass(
+@SCHEDULE_PASSES.register(
     "stash-balance",
     description="running stash never negative, zero net at end of iteration",
     category="executability",

@@ -35,12 +35,7 @@ from repro.tuner.autotune import (
     autotune,
     enumerate_candidates,
 )
-from repro.tuner.cache import (
-    DEFAULT_CACHE,
-    CacheStats,
-    CostCache,
-    costmodel_fingerprint,
-)
+from repro.tuner.cache import CacheStats, CostCache, costmodel_fingerprint
 from repro.tuner.grid import GridPlan, tune_grid
 from repro.tuner.ircache import ScheduleIRCache
 from repro.tuner.store import SqliteCostStore, detect_backend
@@ -53,7 +48,6 @@ __all__ = [
     "enumerate_candidates",
     "CostCache",
     "CacheStats",
-    "DEFAULT_CACHE",
     "costmodel_fingerprint",
     "GridPlan",
     "tune_grid",

@@ -54,7 +54,7 @@ from repro.schedules.registry import (
 from repro.sim import resimulate, simulate, simulate_recording
 from repro.sim.engine import DeadlockError
 from repro.tuner.bounds import throughput_upper_bounds
-from repro.tuner.cache import DEFAULT_CACHE, CostCache
+from repro.tuner.cache import CostCache
 from repro.tuner.ircache import ScheduleIRCache
 from repro.tuner.telemetry import SweepTelemetry
 from repro.tuner.worker import evaluate_chunk
@@ -629,10 +629,11 @@ def autotune(
         tokens-per-iteration semantics workload-grid planning uses
         (:func:`repro.tuner.grid.tune_grid`).
     cache:
-        :class:`CostCache` to memoize evaluations in (default: the
-        process-wide shared cache).  Identical candidate tuples are
-        never re-simulated; pre-load a persisted store with
-        :meth:`CostCache.load` to reuse evaluations across runs.
+        :class:`CostCache` to memoize evaluations in (default: a fresh
+        cache private to this sweep).  Identical candidate tuples are
+        never re-simulated; pass the same cache to later sweeps, or
+        pre-load a persisted store with :meth:`CostCache.load`, to reuse
+        evaluations across sweeps and runs.
     include_infeasible:
         Keep infeasible candidates (with reasons) at the tail of the
         returned list.
@@ -685,7 +686,7 @@ def autotune(
         by lower peak memory), then -- unless disabled -- the infeasible
         candidates in sweep order.
     """
-    cache = DEFAULT_CACHE if cache is None else cache
+    cache = CostCache() if cache is None else cache
     if ir_cache is None:
         ir_cache = ScheduleIRCache()
     if memory_cap_bytes is None:
@@ -742,7 +743,7 @@ def autotune(
         telemetry.candidates += len(pending)
 
     # Admissible pruning: price every pending candidate's closed-form
-    # throughput upper bound in one vectorised shot, then walk the
+    # throughput upper bound in one call, then walk the
     # candidates best-bound-first.  Any candidate whose bound is below
     # the best simulated feasible throughput so far provably cannot win
     # (bound >= simulated throughput), so its simulation is skipped.

@@ -1,21 +1,16 @@
-"""Vectorised admissible throughput bounds for candidate pruning.
+"""Admissible throughput bounds for candidate pruning.
 
 The auto-tuner ranks feasible plans by simulated tokens/s, so a
 candidate can be skipped without simulation when an *upper* bound on its
 throughput is already below the best simulated value.  This module
-prices a whole candidate grid in one numpy pass: the workload's layer
-times come from :func:`repro.costmodel.timing.batch_layer_times` (one
-batched roofline evaluation) and each candidate's makespan lower bound
-from :func:`repro.analysis.bubble.makespan_lower_bound` (Table 2
-warm-up ramps + work conservation + the single-micro-batch dependency
-chain), evaluated once per unique (schedule, options) configuration and
-broadcast over the micro-batch axis with numpy.
-
-numpy is optional: without it the same bounds are computed through the
-scalar :class:`~repro.costmodel.timing.TimingModel` and plain Python
-lists -- the only consumer (:func:`repro.tuner.autotune`) indexes and
-sorts the result, so a list is drop-in and a minimal install still
-tunes with pruning intact.
+prices a candidate list with plain Python floats: the workload's layer
+times come from one scalar :class:`~repro.costmodel.timing.TimingModel`
+evaluation (every candidate shares the workload's (b, s) shape) and
+each candidate's makespan lower bound from
+:func:`repro.analysis.bubble.makespan_lower_bound` (Table 2 warm-up
+ramps + work conservation + the single-micro-batch dependency chain),
+evaluated once per unique (schedule, options) configuration and reused
+across the micro-batch axis.
 
 Bounds are *admissible*: ``upper_bound >= simulated tokens/s`` for every
 candidate, so best-first pruning in :func:`repro.tuner.autotune` never
@@ -30,6 +25,7 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence
 
 from repro.analysis.bubble import bubble_lower_bound, recompute_time_lower_bound
+from repro.costmodel.timing import TimingModel
 
 __all__ = ["throughput_upper_bounds"]
 
@@ -48,22 +44,16 @@ def _spec_options(schedule: str) -> dict[str, Any]:
 
 def throughput_upper_bounds(
     workload: Any, candidates: Sequence[Any]
-) -> Optional["object"]:
+) -> Optional[list[float]]:
     """Upper-bound tokens/s for every candidate, or ``None`` if unpriceable.
 
-    Returns a float sequence aligned with ``candidates`` (a float64
-    array, or a plain list on a numpy-free install).  Each entry is
+    Returns a list aligned with ``candidates``.  Each entry is
     ``tokens(candidate) / makespan_lower_bound(candidate)`` -- since the
     bound never exceeds the simulated makespan, the ratio never falls
     below the simulated throughput.
     """
-    try:
-        import numpy as np
-    except ImportError:
-        np = None  # scalar fallback below
-
     if not candidates:
-        return np.zeros(0) if np is not None else []
+        return []
     try:
         gpu = workload.cluster.node.gpu
         sp = int(workload.cluster.sequence_parallel_size)
@@ -72,17 +62,7 @@ def throughput_upper_bounds(
         p = int(workload.p)
         b = int(workload.micro_batch)
         s = int(workload.seq_len)
-        # One roofline evaluation prices the workload point; every
-        # candidate shares its (b, s) shape.  Batched and scalar paths
-        # are arithmetic-identical (tests/costmodel/test_batch_timing).
-        if np is not None:
-            from repro.costmodel.timing import batch_layer_times
-
-            layer = batch_layer_times(gpu, model, [b], [s], sp=sp).scalar(0)
-        else:
-            from repro.costmodel.timing import TimingModel
-
-            layer = TimingModel(gpu, model, b, s, sp=sp).layer_times()
+        layer = TimingModel(gpu, model, b, s, sp=sp).layer_times()
     except (AttributeError, TypeError, ValueError):
         return None
 
@@ -94,14 +74,12 @@ def throughput_upper_bounds(
 
     # Bubble terms depend only on (schedule, options) and recompute
     # terms only on the strategy; evaluate each unique configuration
-    # once and broadcast over the micro-batch axis.
+    # once.
     bubble_memo: dict[tuple[str, tuple], float] = {}
     rc_memo: dict[Any, float] = {}
-    bubbles = [0.0] * len(candidates)
-    rc = [0.0] * len(candidates)
-    m = [0.0] * len(candidates)
-    for i, cand in enumerate(candidates):
-        m[i] = float(cand.num_micro_batches)
+    out = []
+    for cand in candidates:
+        m = float(cand.num_micro_batches)
         key = (cand.schedule, cand.options)
         bub = bubble_memo.get(key)
         if bub is None:
@@ -109,30 +87,17 @@ def throughput_upper_bounds(
             opts.update(dict(cand.options))
             bub = bubble_lower_bound(cand.schedule, layer, num_layers, p, opts)
             bubble_memo[key] = bub
-        bubbles[i] = bub
-        rc_i = rc_memo.get(cand.recompute)
-        if rc_i is None:
-            rc_i = rc_memo[cand.recompute] = recompute_time_lower_bound(
+        rc = rc_memo.get(cand.recompute)
+        if rc is None:
+            rc = rc_memo[cand.recompute] = recompute_time_lower_bound(
                 layer, cand.recompute
             )
-        rc[i] = rc_i
-    # Every layer's backward re-runs the strategy's recompute forward on
-    # the same serial engine -- per micro batch (work term) and on the
-    # single-micro-batch critical path (chain term) alike.
-    if np is not None:
-        m_arr = np.asarray(m)
-        lower = np.maximum(
-            m_arr * (work_per_mb + num_layers * np.asarray(rc) / p)
-            + np.asarray(bubbles),
-            chain + num_layers * np.asarray(rc),
-        )
-        with np.errstate(divide="ignore"):
-            return np.where(lower > 0.0, m_arr * tokens_per_mb / lower, np.inf)
-    out = []
-    for mi, bub_i, rc_i in zip(m, bubbles, rc):
+        # Every layer's backward re-runs the strategy's recompute forward
+        # on the same serial engine -- per micro batch (work term) and on
+        # the single-micro-batch critical path (chain term) alike.
         lower = max(
-            mi * (work_per_mb + num_layers * rc_i / p) + bub_i,
-            chain + num_layers * rc_i,
+            m * (work_per_mb + num_layers * rc / p) + bub,
+            chain + num_layers * rc,
         )
-        out.append(mi * tokens_per_mb / lower if lower > 0.0 else float("inf"))
+        out.append(m * tokens_per_mb / lower if lower > 0.0 else float("inf"))
     return out

@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable
 if TYPE_CHECKING:  # repro.tuner.store imports this module; avoid the cycle
     from repro.tuner.store import SqliteCostStore
 
-__all__ = ["CacheStats", "CostCache", "DEFAULT_CACHE", "costmodel_fingerprint"]
+__all__ = ["CacheStats", "CostCache", "costmodel_fingerprint"]
 
 #: On-disk format marker; bump the version on incompatible changes.
 _FORMAT = "repro-costcache"
@@ -499,7 +499,3 @@ class CostCache:
                 return True
             store = self.store
         return store is not None and key in store
-
-
-#: Shared process-wide cache used when callers do not supply their own.
-DEFAULT_CACHE = CostCache()

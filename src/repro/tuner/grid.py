@@ -33,7 +33,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.costmodel.memory import RecomputeStrategy
 from repro.tuner.autotune import PlanResult, autotune
-from repro.tuner.cache import DEFAULT_CACHE, CostCache
+from repro.tuner.cache import CostCache
 from repro.tuner.ircache import ScheduleIRCache
 from repro.tuner.telemetry import SweepTelemetry
 from repro.workloads import WorkloadGrid, WorkloadPoint
@@ -100,7 +100,7 @@ def tune_grid(
     points reuse their builds outright.  ``telemetry`` likewise
     aggregates across every point of the grid.
     """
-    cache = DEFAULT_CACHE if cache is None else cache
+    cache = CostCache() if cache is None else cache
     ir_cache = ScheduleIRCache() if ir_cache is None else ir_cache
     feasible: list[GridPlan] = []
     dead_points: list[GridPlan] = []

@@ -1,4 +1,4 @@
-"""Lower-bound formulas and the vectorised candidate pricer."""
+"""Lower-bound formulas and the candidate throughput pricer."""
 
 import pytest
 

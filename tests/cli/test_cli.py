@@ -569,3 +569,25 @@ class TestLintCode:
         )
         assert code == 0
         assert "lock-order" in out or "0 error(s)" in out
+
+    def test_missing_path_fails_instead_of_linting_nothing(self, capsys, tmp_path):
+        missing = str(tmp_path / "nonexistent")
+        code, out, err = run(capsys, "lint-code", "--strict", "--paths", missing)
+        assert code == 1
+        assert err.startswith("error: ") and missing in err
+        assert "0 file(s)" not in out
+
+    def test_default_paths_outside_the_repo_root_fail(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "lint-code", "--strict")
+        assert code == 1
+        assert os.path.join(str(tmp_path), "src", "repro", "service") in err
+        assert "0 file(s)" not in out
+
+    def test_sweep_without_python_files_fails(self, capsys, tmp_path):
+        (tmp_path / "notes.txt").write_text("no code here\n")
+        code, _, err = run(capsys, "lint-code", "--paths", str(tmp_path))
+        assert code == 1
+        assert "no .py file" in err and str(tmp_path) in err

@@ -68,12 +68,6 @@ class TestClusterSpec:
         with pytest.raises(ValueError):
             h20_cluster(2).intra_node_collective_time(1e9, "alltoall")
 
-    def test_graph_view(self):
-        g = h20_cluster(3).as_graph()
-        assert g.number_of_nodes() == 3
-        assert g.number_of_edges() == 6
-        assert all("bytes_per_s" in d for _, _, d in g.edges(data=True))
-
     def test_abstract_cluster_unit_bandwidth(self):
         cl = abstract_cluster(4)
         # 1 abstract byte takes 1 abstract second, no latency.

@@ -6,7 +6,7 @@ under lock, untracked daemon thread) and asserts the *named* pass --
 and only a pass of matching severity -- reports it, while the baseline
 comes back clean.  The final class sweeps the repo's real threaded
 packages and requires zero findings, which is the same gate CI's
-``code-lint`` job enforces.
+``static-analysis`` job enforces.
 """
 
 import os
@@ -14,19 +14,8 @@ import textwrap
 
 import pytest
 
-from repro.devtools.concurrency import (
-    CodeIssue,
-    Severity,
-    lint_code,
-    report_passes_gate,
-    run_code_analysis,
-)
-from repro.devtools.concurrency.framework import (
-    CodeAnalysisReport,
-    CodePass,
-    format_code_issue_table,
-    register_code_pass,
-)
+from repro.devtools.concurrency import CODE_PASSES, CodeIssue, lint_code
+from repro.passkit import Severity
 
 from tests.devtools.test_model import project
 
@@ -34,7 +23,7 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
 
 def run(*sources: str):
-    return run_code_analysis(project(*sources))
+    return CODE_PASSES.run(project(*sources))
 
 
 def findings(report, pass_name):
@@ -268,7 +257,8 @@ class TestBlockingUnderLockMutation:
         assert issue.symbol == "Runner._lock"
         # WARNINGs do not fail plain lint but do fail --strict.
         assert report.ok
-        assert not report_passes_gate(report, strict=True)
+        report.strict = True
+        assert not report.ok
 
     def test_allow_on_with_line_suppresses_whole_block(self):
         report = run(
@@ -402,56 +392,6 @@ class TestThreadHygieneMutation:
         assert not findings(report, "thread-hygiene")
 
 
-class TestFramework:
-    def test_duplicate_registration_rejected(self):
-        register_code_pass("test-dup-pass", description="x")(lambda m: [])
-        with pytest.raises(ValueError, match="already registered"):
-            register_code_pass("test-dup-pass")(lambda m: [])
-
-    def test_requires_skips_after_prereq_errors(self):
-        model = project("x = 1")
-        broken = CodePass(
-            name="prereq",
-            fn=lambda m: [CodeIssue("prereq", "boom")],
-        )
-        gated = CodePass(name="dependent", fn=lambda m: [], requires=("prereq",))
-        report = run_code_analysis(model, passes=[broken, gated])
-        assert report.passes_run == ("prereq",)
-        assert "dependent" in report.skipped
-
-    def test_report_json_round_trips(self):
-        report = CodeAnalysisReport(
-            files=("a.py",),
-            issues=[
-                CodeIssue(
-                    "guarded-by",
-                    "msg",
-                    file="a.py",
-                    line=3,
-                    function="a.S.f",
-                    symbol="S.x",
-                )
-            ],
-            passes_run=("guarded-by",),
-        )
-        payload = report.to_json_dict()
-        assert payload["ok"] is False
-        assert payload["issues"][0]["pass"] == "guarded-by"
-        assert payload["issues"][0]["line"] == 3
-        table = format_code_issue_table(report.issues)
-        assert "guarded-by" in table and "a.py:3" in table
-
-    def test_gate_semantics(self):
-        warn_only = CodeAnalysisReport(
-            issues=[CodeIssue("p", "w", severity=Severity.WARNING)]
-        )
-        assert report_passes_gate(warn_only)
-        assert not report_passes_gate(warn_only, strict=True)
-        err = CodeAnalysisReport(issues=[CodeIssue("p", "e")])
-        assert not report_passes_gate(err)
-        assert not report_passes_gate(err, strict=True)
-
-
 class TestCleanTree:
     def test_repo_threaded_packages_have_zero_findings(self):
         """The acceptance gate: the real service/tuner sweep is clean."""
@@ -460,9 +400,42 @@ class TestCleanTree:
 
     def test_sweep_covers_the_threaded_modules(self):
         report, model = lint_code(root=_REPO_ROOT)
-        files = {os.path.basename(p) for p in report.files}
+        files = {os.path.basename(p) for p in report.subject["files"]}
         assert {"planner.py", "telemetry.py", "cache.py", "store.py"} <= files
         # The known lock hierarchy must be visible to the model.
         assert "PlannerService" in model.classes
         assert "CostCache" in model.classes
         assert model.classes["CostCache"].guarded["_data"] == "_lock"
+
+
+class TestCodeIssue:
+    def test_location_cells(self):
+        """The table's location cell joins whichever of file and line exist."""
+        full = CodeIssue("p", "m", file="a.py", line=3, function="a.S.f")
+        assert full.cells() == ("a.py:3", "a.S.f")
+        assert CodeIssue("p", "m", file="a.py").cells() == ("a.py", "-")
+        assert CodeIssue("p", "m", line=3).cells() == ("-", "-")
+
+    def test_text_orders_by_severity_then_location(self):
+        report = CODE_PASSES.run(project("x = 1"), passes=[])
+        report.issues = [
+            CodeIssue("p", "msg-3", file="b.py", line=1),
+            CodeIssue("p", "msg-2", file="a.py", line=9),
+            CodeIssue("p", "msg-1", file="a.py", line=2),
+            CodeIssue("p", "msg-4", severity=Severity.WARNING, file="a.py", line=1),
+        ]
+        text = report.format()
+        order = [text.index(f"msg-{k}") for k in range(1, 5)]
+        assert order == sorted(order)
+        assert "a.py:2" in text and "b.py:1" in text
+
+
+class TestLintCode:
+    def test_report_counts_the_swept_files(self):
+        report = run("x = 1")
+        assert report.format().startswith("1 file(s): 0 error(s)")
+        assert report.to_json_dict()["files"] == ["mod0.py"]
+
+    def test_default_paths_resolve_against_root(self, tmp_path):
+        with pytest.raises(ValueError, match="src.repro.service"):
+            lint_code(root=tmp_path)

@@ -1,19 +1,18 @@
-"""Pass framework: severities, registration, dependency skipping, tables."""
+"""Schedule-side framework behaviour: issue rendering, built-in metadata.
 
-import pytest
+The rules both analyzers share (registration, ``requires`` skipping,
+dependency order, JSON keys, tables, the strict gate) are checked once
+per registry in ``tests/test_passkit.py``; this file keeps what only
+the schedule analyzer has.
+"""
 
 from repro.model import Segment, SegmentKind
 from repro.schedules.analysis import (
+    SCHEDULE_PASSES,
     AnalysisContext,
-    AnalysisPass,
     PassIssue,
     Severity,
-    available_passes,
-    format_issue_table,
-    get_pass,
-    run_analysis,
 )
-from repro.schedules.analysis.framework import _dependency_order, register_pass
 from repro.schedules.ir import ComputeInstr, OpType, Schedule
 from repro.schedules.passes import ScheduleVerificationError
 
@@ -28,16 +27,6 @@ def _compute(stage=0, mb=0, stash=0.0, duration=1.0):
     return ComputeInstr(
         OpType.F, stage, mb, SEG, duration=duration, stash_delta=stash
     )
-
-
-class TestSeverity:
-    def test_total_order(self):
-        assert Severity.INFO < Severity.WARNING < Severity.ERROR
-        assert Severity.ERROR >= Severity.WARNING >= Severity.INFO
-        assert max(Severity.INFO, Severity.ERROR) is Severity.ERROR
-
-    def test_default_is_error(self):
-        assert PassIssue("p", "m").severity is Severity.ERROR
 
 
 class TestPassIssueFormat:
@@ -63,107 +52,42 @@ class TestPassIssueFormat:
         assert "warning" in s
         assert "stage 1" in s and "step 7" in s and "'fwd:mb0:0->1'" in s
 
-    def test_issue_table_aligned_and_complete(self):
-        issues = [
-            PassIssue("alpha", "first", stage=0, step=12, tag="t0"),
-            PassIssue("beta-longer", "second", severity=Severity.WARNING),
-        ]
-        table = format_issue_table(issues)
-        lines = table.splitlines()
-        assert lines[0].split() == [
-            "pass", "severity", "stage", "step", "tag", "message",
-        ]
-        assert "first" in table and "second" in table
-        # Columns align: every "message" starts at the same offset.
-        offset = lines[0].index("message")
-        assert lines[2][offset:].startswith("first")
-        assert lines[3][offset:].startswith("second")
-
 
 class TestRegistration:
-    def test_builtin_passes_registered(self):
-        names = set(available_passes())
-        assert {
-            "structure",
-            "deadlock",
-            "program-order",
-            "stash-balance",
-            "comm-pairing",
-            "comm-order",
-            "comm-hol",
-            "peak-memory",
-            "dead-code",
-        } <= names
-
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_pass("structure")(lambda schedule: [])
-
-    def test_unknown_pass_lookup(self):
-        with pytest.raises(KeyError, match="unknown analysis pass"):
-            get_pass("no-such-pass")
-
     def test_single_arg_pass_wrapped(self):
         """Legacy one-argument check functions get the uniform body."""
-        ap = get_pass("structure")
-        assert ap.run(_schedule()) == []  # context supplied implicitly
+        report = SCHEDULE_PASSES.run(_schedule(), passes=["structure"])
+        assert report.passes_run == ("structure",) and report.issues == []
 
     def test_metadata_present(self):
-        ap = get_pass("comm-hol")
+        ap = SCHEDULE_PASSES.get("comm-hol")
         assert ap.category == "hazard"
         assert "comm-pairing" in ap.requires and "deadlock" in ap.requires
 
 
-class TestDependencyOrder:
-    def test_prerequisites_run_first(self):
-        a = AnalysisPass("z-dep", lambda s, c: [], requires=("a-base",))
-        b = AnalysisPass("a-base", lambda s, c: [])
-        assert [p.name for p in _dependency_order([a, b])] == ["a-base", "z-dep"]
-
-    def test_cycle_degrades_to_given_order(self):
-        a = AnalysisPass("x", lambda s, c: [], requires=("y",))
-        b = AnalysisPass("y", lambda s, c: [], requires=("x",))
-        assert [p.name for p in _dependency_order([a, b])] == ["x", "y"]
-
-    def test_foreign_requires_ignored(self):
-        a = AnalysisPass("solo", lambda s, c: [], requires=("not-in-list",))
-        assert [p.name for p in _dependency_order([a])] == ["solo"]
-
-
 class TestRunAnalysis:
-    def test_clean_schedule_clean_report(self):
-        report = run_analysis(_schedule([[_compute()]]))
-        assert report.ok
-        assert report.issues == []
-        assert report.max_severity is None
-        assert not report.skipped
-
     def test_failing_prerequisite_skips_dependents(self):
         # stage field mismatch -> structure errors -> deadlock/dead-code skip
         bad = _schedule([[_compute(stage=3)]])
-        report = run_analysis(bad)
+        report = SCHEDULE_PASSES.run(bad)
         assert not report.ok
         assert "deadlock" in report.skipped
         assert "structure" in report.skipped["deadlock"]
         assert "deadlock" not in report.passes_run
 
-    def test_explicit_pass_selection(self):
-        report = run_analysis(_schedule([[_compute()]]), passes=["stash-balance"])
-        assert report.passes_run == ("stash-balance",)
+    def test_report_names_the_schedule(self):
+        report = SCHEDULE_PASSES.run(_schedule([[_compute()]]))
+        assert report.format().startswith("schedule 't': 0 error(s)")
+        assert report.to_json_dict()["schedule"] == "t"
 
-    def test_json_roundtrip_shape(self):
-        bad = _schedule([[_compute(stage=3)]])
-        payload = run_analysis(bad).to_json_dict()
-        assert payload["ok"] is False
-        assert payload["issues"][0]["pass"] == "structure"
-        assert {"severity", "stage", "step", "tag", "message"} <= set(
-            payload["issues"][0]
-        )
+    def test_default_context_has_no_memory_cap(self):
+        big = _schedule([[_compute(stash=64.0), _compute(stash=-64.0)]])
+        assert SCHEDULE_PASSES.run(big, passes=["peak-memory"]).ok
 
     def test_context_threaded_to_passes(self):
         ctx = AnalysisContext(static_memory_bytes=0.0, memory_cap_bytes=1.0)
         big = _schedule([[_compute(stash=64.0), _compute(stash=-64.0)]])
-        report = run_analysis(big, passes=["peak-memory"], context=ctx)
+        report = SCHEDULE_PASSES.run(big, passes=["peak-memory"], context=ctx)
         assert not report.ok
         assert "exceeds memory cap" in report.issues[0].message
 

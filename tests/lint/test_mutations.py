@@ -13,9 +13,9 @@ import pytest
 
 from repro.model import Segment, SegmentKind
 from repro.schedules.analysis import (
+    SCHEDULE_PASSES,
     AnalysisContext,
     Severity,
-    run_analysis,
 )
 from repro.schedules.analysis.commrace import (
     build_channel_graph,
@@ -79,7 +79,7 @@ class TestDroppedRecv:
     def test_full_pipeline_fails_and_gates_dependents(self):
         sched = copy.deepcopy(_built())
         _drop_first_recv(sched)
-        report = run_analysis(sched)
+        report = SCHEDULE_PASSES.run(sched)
         assert not report.ok
         assert {"structure", "comm-pairing"} <= {
             i.pass_name for i in report.errors
@@ -103,7 +103,7 @@ class TestSwappedSends:
         full pipeline still reports zero errors."""
         sched = copy.deepcopy(_built())
         _swap_same_channel_sends(sched)
-        report = run_analysis(sched)
+        report = SCHEDULE_PASSES.run(sched)
         assert report.ok
         assert any(i.pass_name == "comm-order" for i in report.warnings)
 
@@ -164,7 +164,7 @@ class TestHeadOfLineBlocking:
             ],
         )
         # Sanity: executable under the IR's tag-matched semantics.
-        report = run_analysis(s, passes=["structure", "deadlock"])
+        report = SCHEDULE_PASSES.run(s, passes=["structure", "deadlock"])
         assert report.ok
         issues = check_hol_blocking(s, CTX)
         assert issues
@@ -188,8 +188,9 @@ class TestPeakMemoryDefect:
         ctx = AnalysisContext(
             static_memory_bytes=0.0, memory_cap_bytes=96.0 * (1 << 30)
         )
-        report = run_analysis(sched, passes=["stash-balance", "peak-memory"],
-                              context=ctx)
+        report = SCHEDULE_PASSES.run(
+            sched, passes=["stash-balance", "peak-memory"], context=ctx
+        )
         assert not report.ok
         (issue,) = report.errors
         assert issue.pass_name == "peak-memory"
@@ -269,5 +270,5 @@ def test_each_mutation_caught_by_its_pass(mutation, pass_name):
     """The acceptance matrix in one place: seeded defect -> catching pass."""
     sched = copy.deepcopy(_built())
     mutation(sched)
-    report = run_analysis(sched)
+    report = SCHEDULE_PASSES.run(sched)
     assert any(i.pass_name == pass_name for i in report.issues)

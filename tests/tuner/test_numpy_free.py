@@ -1,13 +1,12 @@
 """The tuner must work on a numpy-free install.
 
-``throughput_upper_bounds`` gates its numpy import and falls back to the
-scalar :class:`~repro.costmodel.timing.TimingModel`; ``zb-milp`` only
+``throughput_upper_bounds`` prices candidates through the scalar
+:class:`~repro.costmodel.timing.TimingModel` alone; ``zb-milp`` only
 reaches for numpy/scipy past its closed-form placement fast path.  These
 tests pin both behaviours two ways: in-process, by hiding numpy from
-``import`` and asserting the scalar bounds are bit-identical to the
-vectorised ones; and end-to-end, by running a full ``autotune`` plus
-``lint_schedules`` in a subprocess whose meta-path blocks numpy *and*
-scipy outright.
+``import`` while pricing bounds, and end-to-end, by running a full
+``autotune`` plus ``lint_schedules`` in a subprocess whose meta-path
+blocks numpy *and* scipy outright.
 """
 
 import builtins
@@ -19,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.common import Workload
-from repro.tuner import CostCache, autotune, enumerate_candidates
+from repro.tuner import CostCache, autotune
 from repro.tuner.bounds import throughput_upper_bounds
 
 REPO = Path(__file__).resolve().parents[2]
@@ -30,8 +29,7 @@ def no_numpy(monkeypatch):
     """Make ``import numpy`` fail for code under test.
 
     Modules that already hold a numpy reference keep it; only *new*
-    imports are denied -- exactly the situation inside
-    ``throughput_upper_bounds``, which imports lazily per call.
+    imports are denied.
     """
     real_import = builtins.__import__
 
@@ -49,18 +47,6 @@ def wl():
 
 
 class TestScalarBounds:
-    def test_scalar_path_bit_identical_to_vectorised(self, wl, no_numpy):
-        cands = enumerate_candidates(wl)
-        assert cands
-        scalar = throughput_upper_bounds(wl, cands)
-        assert isinstance(scalar, list)
-        # Recompute vectorised *outside* the block for comparison.
-        vec = VEC_BOUNDS
-        assert len(scalar) == len(vec)
-        for got, want in zip(scalar, vec):
-            # Same float ops in the same order: exact, not approximate.
-            assert got == want
-
     def test_empty_candidates_returns_empty_list(self, wl, no_numpy):
         assert throughput_upper_bounds(wl, []) == []
 
@@ -69,22 +55,6 @@ class TestScalarBounds:
             pass
 
         assert throughput_upper_bounds(Duck(), [object()]) is None
-
-    def test_batch_layer_times_error_names_the_fallback(self, no_numpy):
-        from repro.costmodel.timing import batch_layer_times
-
-        wl = Workload.paper("1.3B", "H20", 2, 8192)
-        gpu = wl.cluster.node.gpu
-        with pytest.raises(ImportError, match="TimingModel"):
-            batch_layer_times(gpu, wl.model, [1], [8192])
-
-
-# Computed at import time (numpy available) so the no_numpy fixture
-# cannot interfere with the reference values.
-_WL_REF = Workload.paper("1.3B", "H20", 2, 8192)
-VEC_BOUNDS = [
-    float(x) for x in throughput_upper_bounds(_WL_REF, enumerate_candidates(_WL_REF))
-]
 
 
 _SUBPROCESS_SCRIPT = r"""
