@@ -10,8 +10,11 @@ Drives the full serving story in one process tree:
    (a) was served warm -- the seeded store made re-evaluation
    unnecessary, proven by the disk-hit counters -- and (b) is
    byte-identical to serialising the direct ``autotune`` result.
-4. ``GET /v1/stats`` and check the telemetry/cache shape.
-5. Fire a short ``scripts/replay_traffic.py`` burst and let its
+4. Repeat that plan request over one kept-alive connection and gate its
+   median round trip (a response that waits on the client's delayed
+   ACK takes ~40 ms; a warm plan takes a few).
+5. ``GET /v1/stats`` and check the telemetry/cache shape.
+6. Fire a short ``scripts/replay_traffic.py`` burst and let its
    consistency gates (all requests answered, outcome counters add up,
    bounded cold evaluations) finish the job.
 
@@ -21,12 +24,15 @@ and the stdlib; CI runs it as ``python scripts/service_smoke.py``.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
+import urllib.parse
 import urllib.request
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -45,6 +51,11 @@ _PLAN_BODY = {
     "options": False,
 }
 
+#: Warm plans sent back to back over one connection by the keep-alive gate.
+_KEEPALIVE_REQUESTS = 20
+#: Gate on their median round trip, in ms.
+_KEEPALIVE_MAX_MEDIAN_MS = 20.0
+
 
 def _request(base: str, path: str, payload: dict | None = None):
     data = None if payload is None else json.dumps(payload).encode("utf-8")
@@ -60,6 +71,30 @@ def _check(condition: bool, message: str) -> None:
         print(f"FAIL {message}", file=sys.stderr)
         sys.exit(1)
     print(f"ok: {message}")
+
+
+def _keepalive_plans(
+    base: str, payload: dict, count: int
+) -> tuple[list[float], list[str]]:
+    """Send ``count`` identical plan requests over one kept-alive connection.
+
+    Returns each round trip in ms and each answer's outcome.
+    """
+    url = urllib.parse.urlsplit(base)
+    body = json.dumps(payload).encode("utf-8")
+    headers = {"Content-Type": "application/json"}
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=300)
+    times, outcomes = [], []
+    try:
+        for _ in range(count):
+            t0 = time.perf_counter()
+            conn.request("POST", "/v1/plan", body=body, headers=headers)
+            answer = json.loads(conn.getresponse().read())
+            times.append(1e3 * (time.perf_counter() - t0))
+            outcomes.append(answer.get("outcome"))
+    finally:
+        conn.close()
+    return times, outcomes
 
 
 def main() -> int:
@@ -135,11 +170,26 @@ def main() -> int:
                 f"best plan matches: {best.label}",
             )
 
+            print("== warm plans over one kept-alive connection ==")
+            times, outcomes = _keepalive_plans(
+                base, _PLAN_BODY, _KEEPALIVE_REQUESTS
+            )
+            _check(
+                outcomes == ["warm"] * _KEEPALIVE_REQUESTS,
+                f"{_KEEPALIVE_REQUESTS} kept-alive plans answered warm",
+            )
+            median = statistics.median(times)
+            _check(
+                median <= _KEEPALIVE_MAX_MEDIAN_MS,
+                f"median kept-alive round trip {median:.1f} ms <= "
+                f"{_KEEPALIVE_MAX_MEDIAN_MS:.0f} ms (no delayed-ACK stall)",
+            )
+
             stats = _request(base, "/v1/stats")
             _check(
-                stats["telemetry"]["plans_warm"] == 1
+                stats["telemetry"]["plans_warm"] == 1 + _KEEPALIVE_REQUESTS
                 and stats["telemetry"]["errors"] == 0,
-                "stats telemetry counted the warm plan, no errors",
+                "stats telemetry counted the warm plans, no errors",
             )
             _check(
                 stats["cache"]["backend"] == "sqlite"

@@ -51,6 +51,11 @@ class PlannerAPIHandler(BaseHTTPRequestHandler):
 
     server: PlannerServer
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every accepted socket.  Headers and body leave as
+    #: two sends; with Nagle's algorithm on, the body of a response on a
+    #: kept-alive connection waits for the client's delayed ACK of the
+    #: headers (~40 ms on Linux).
+    disable_nagle_algorithm = True
     #: Routes as ``(method, path) -> handler-method name``.
     ROUTES = {
         ("GET", "/v1/healthz"): "_handle_healthz",

@@ -403,7 +403,6 @@ class PlannerService:
                 "disk_hits": stats.disk_hits,
                 "misses": stats.misses,
                 "pruned": stats.pruned,
-                "entries": len(self.cache),
             },
         }
 

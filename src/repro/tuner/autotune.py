@@ -762,6 +762,14 @@ def autotune(
         # every pruning decision -- is deterministic.
         order = sorted(range(len(pending)), key=lambda i: (-ubs[i], i))
 
+    # One batched cache read decides which candidates are already
+    # evaluated (a sqlite store is queried once, not once per key); the
+    # pruning test and the parallel pre-dispatch both read this set.
+    t_fetch = time.perf_counter()
+    held = cache.fetch_many(key for _, _, key in pending)
+    if telemetry is not None:
+        telemetry.eval_s += time.perf_counter() - t_fetch
+
     # Fan the cold candidates out to a process pool.  Each worker fills
     # a private CostCache; the merged records feed the same get_or_eval
     # path the serial sweep uses, so hit/miss accounting is identical.
@@ -778,7 +786,7 @@ def autotune(
         best_floor = 0.0
         if ubs is not None:
             for idx, cand, key in pending:
-                if key in cache:
+                if key in held:
                     row = _to_plan_result(
                         workload, cand, cache.peek(key), memory_cap_bytes
                     )
@@ -787,7 +795,7 @@ def autotune(
         missing: list[Candidate] = []
         seen: set[tuple] = set()
         for i, (_, cand, key) in enumerate(pending):
-            if key in cache or key in seen:
+            if key in held or key in seen:
                 continue
             if ubs is not None and ubs[i] < best_floor:
                 continue
@@ -811,7 +819,7 @@ def autotune(
     with _gc_paused():
         for i in order:
             idx, cand, key = pending[i]
-            if key not in cache and ubs is not None and ubs[i] < best_tps:
+            if key not in held and ubs is not None and ubs[i] < best_tps:
                 # Simulating this candidate cannot change the winner;
                 # report it as pruned.  It never enters the cache, so a
                 # warm re-sweep walks the identical records and replays
@@ -835,6 +843,7 @@ def autotune(
                         workload, c, memory_cap_bytes, ctx
                     ),
                 )
+            held.add(key)  # cached now: a repeat of this key is never pruned
             row = _to_plan_result(workload, cand, record, memory_cap_bytes)
             rows[idx] = row
             if row.feasible and row.tokens_per_s > best_tps:

@@ -44,7 +44,7 @@ import secrets
 import threading
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Hashable
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
 
 if TYPE_CHECKING:  # repro.tuner.store imports this module; avoid the cycle
     from repro.tuner.store import SqliteCostStore
@@ -66,12 +66,13 @@ def costmodel_fingerprint() -> str:
     (:mod:`repro.costmodel`), the schedule builders and cost providers
     (:mod:`repro.schedules`, :mod:`repro.core`), the hardware and
     network models (:mod:`repro.cluster`, :mod:`repro.comm`), the model
-    presets (:mod:`repro.model`) and the discrete-event simulator
-    (:mod:`repro.sim`).  Persisted stores are stamped with this
-    fingerprint so that editing any of those packages invalidates old
-    stores -- a changed cost model triggers re-evaluation instead of
-    silently serving stale disk hits (ROADMAP "cross-run cache
-    invalidation").
+    presets (:mod:`repro.model`), the discrete-event simulator
+    (:mod:`repro.sim`) and the workload glue that prices every candidate
+    (:mod:`repro.workloads`: ``Workload.costs`` and ``static_memory``).
+    Persisted stores are stamped with this fingerprint so that editing
+    any of those sources invalidates old stores -- a changed cost model
+    triggers re-evaluation instead of silently serving stale disk hits
+    (ROADMAP "cross-run cache invalidation").
 
     The hash is over the source files' bytes, so it is identical across
     processes and hosts running the same code, and memoized per process
@@ -93,6 +94,7 @@ def costmodel_fingerprint() -> str:
     import repro.schedules
     import repro.sim
     import repro.tuner
+    import repro.workloads
 
     packages = (
         repro.cluster,
@@ -104,20 +106,23 @@ def costmodel_fingerprint() -> str:
         repro.sim,
         repro.tuner,
     )
-    digest = hashlib.sha256()
+    sources: list[tuple[str, str]] = []
     for pkg in packages:
         pkg_root = os.path.dirname(pkg.__file__)
         for root, dirs, files in os.walk(pkg_root):
             dirs.sort()  # deterministic walk order across filesystems
             dirs[:] = [d for d in dirs if d != "__pycache__"]
             for name in sorted(files):
-                if not name.endswith(".py"):
-                    continue
-                path = os.path.join(root, name)
-                rel = os.path.relpath(path, pkg_root)
-                digest.update(f"{pkg.__name__}/{rel}".encode())
-                with open(path, "rb") as fh:
-                    digest.update(fh.read())
+                if name.endswith(".py"):
+                    path = os.path.join(root, name)
+                    rel = os.path.relpath(path, pkg_root)
+                    sources.append((f"{pkg.__name__}/{rel}", path))
+    sources.append(("repro.workloads", repro.workloads.__file__))
+    digest = hashlib.sha256()
+    for label, path in sources:
+        digest.update(label.encode())
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
     _fingerprint = digest.hexdigest()[:16]
     return _fingerprint
 
@@ -171,7 +176,8 @@ class CostCache:
     With a :class:`~repro.tuner.store.SqliteCostStore` attached
     (:meth:`open` / :meth:`attach_store`), the dict becomes a hot layer
     over the lazy on-disk store: lookups fall through to one indexed
-    sqlite query, fetched entries count as disk hits, and cold
+    sqlite query (a sweep reads all its keys at once through
+    :meth:`fetch_many`), fetched entries count as disk hits, and cold
     evaluations write through so concurrent processes sharing the store
     see them immediately.
 
@@ -190,6 +196,10 @@ class CostCache:
     stats: CacheStats = field(default_factory=CacheStats)
     #: Keys whose entries came off a persisted store (for stats only).
     _disk_keys: set[Hashable] = field(default_factory=set)  # guarded-by: _lock
+    #: Keys in ``_data`` not known to be in ``store`` (adopted, merged,
+    #: JSON-loaded, or held before the store was attached); the only
+    #: keys :meth:`__len__` has to probe the store for.
+    _unstored: set[Hashable] = field(default_factory=set)  # guarded-by: _lock
     #: Lazy on-disk backend; None for a purely in-memory (or JSON) cache.
     store: "SqliteCostStore | None" = None
     _lock: threading.Lock = field(
@@ -252,10 +262,37 @@ class CostCache:
                 return value
         raise KeyError(key)
 
+    def fetch_many(self, keys: Iterable[Hashable]) -> set[Hashable]:
+        """The subset of ``keys`` this cache holds, in memory or in the store.
+
+        Keys missing from memory are read from an attached store in one
+        batched query (:meth:`SqliteCostStore.get_many
+        <repro.tuner.store.SqliteCostStore.get_many>`, run outside
+        ``_lock``); the records found are loaded into memory as disk
+        entries, so later :meth:`get_or_eval` calls on them are memory
+        lookups.  No hit counters change.
+        """
+        keys = list(keys)
+        with self._lock:
+            held = {key for key in keys if key in self._data}
+            store = self.store
+        missing = [key for key in keys if key not in held]
+        if store is None or not missing:
+            return held
+        found = store.get_many(missing)
+        with self._lock:
+            for key, value in found.items():
+                if key not in self._data:
+                    self._data[key] = value
+                    self._disk_keys.add(key)
+        held.update(found)
+        return held
+
     def adopt(self, key: Hashable, value: Any) -> None:
         """Insert an externally-evaluated entry (no stats recorded)."""
         with self._lock:
             self._data[key] = value
+            self._unstored.add(key)
 
     def _snapshot(self) -> tuple[dict[Hashable, Any], set[Hashable]]:
         """Consistent copy of the in-memory layer and its disk-key set."""
@@ -279,6 +316,7 @@ class CostCache:
             for key, value in data.items():
                 if key not in self._data:
                     self._data[key] = value
+                    self._unstored.add(key)
                     if key in disk_keys:
                         self._disk_keys.add(key)
                     added += 1
@@ -328,6 +366,9 @@ class CostCache:
             else:
                 store = SqliteCostStore(path)
             store.put_many(iter(items))
+            if store is self.store:
+                with self._lock:
+                    self._unstored.difference_update(key for key, _ in items)
             return len(store)
         payload = {
             "format": _FORMAT,
@@ -389,7 +430,7 @@ class CostCache:
         )
 
         if detect_backend(path, backend) == "sqlite":
-            self.store = SqliteCostStore(path, create=False)
+            self.attach_store(SqliteCostStore(path, create=False))
             return len(self.store)
         if is_sqlite_file(path):
             raise ValueError(
@@ -426,6 +467,7 @@ class CostCache:
                 if key not in self._data:
                     self._data[key] = value
                     self._disk_keys.add(key)
+                    self._unstored.add(key)
                     added += 1
         return added
 
@@ -450,14 +492,17 @@ class CostCache:
 
         cache = cls()
         if detect_backend(path, backend) == "sqlite":
-            cache.store = SqliteCostStore(path, create=True)
+            cache.attach_store(SqliteCostStore(path, create=True))
         elif os.path.exists(path):
             cache.load(path, backend="json")
         return cache
 
     def attach_store(self, store: "SqliteCostStore") -> None:
         """Serve lookup misses from ``store`` and write evaluations through."""
-        self.store = store
+        with self._lock:
+            self.store = store
+            # Nothing held so far is known to be in the new store.
+            self._unstored = set(self._data)
 
     def close(self) -> None:
         """Close an attached store's connections (no-op without one).
@@ -475,22 +520,20 @@ class CostCache:
         with self._lock:
             self._data.clear()
             self._disk_keys.clear()
+            self._unstored.clear()
             self.stats = CacheStats()
 
     def __len__(self) -> int:
         """Distinct entries reachable through this cache (memory + store)."""
-        # Write-through puts evaluated entries in the store and fetched
-        # entries are disk keys by construction, so only adopted/merged
-        # entries can be memory-only; count those without double counting.
-        # The snapshot keeps the store queries (sqlite I/O) outside _lock.
+        # Evaluated entries are written through and fetched ones came off
+        # the store, so only the _unstored keys can be memory-only; probe
+        # just those, outside _lock, so nothing is counted twice.
         with self._lock:
             store = self.store
             if store is None:
                 return len(self._data)
-            memory_only = [
-                key for key in self._data if key not in self._disk_keys
-            ]
-        extra = sum(1 for key in memory_only if key not in store)
+            unstored = list(self._unstored)
+        extra = sum(1 for key in unstored if key not in store)
         return len(store) + extra
 
     def __contains__(self, key: Hashable) -> bool:

@@ -9,7 +9,9 @@ out-of-process tuners keep appending.  :class:`SqliteCostStore` is the
 serving-side backend:
 
 - **Lazy, indexed lookup** -- entries stay on disk; a cache miss costs
-  one point query against the primary-key index, not a full-store parse.
+  one point query against the primary-key index, not a full-store parse,
+  and a whole sweep's candidates are read in one batched query
+  (:meth:`SqliteCostStore.get_many`).
 - **Concurrent writers** -- WAL journal mode plus a generous busy
   timeout let several processes (CLI sweeps, service workers, the
   migrate verb) write the same store without corrupting it; records are
@@ -42,7 +44,7 @@ import sqlite3
 import threading
 import warnings
 import weakref
-from typing import Any, Hashable, Iterator
+from typing import Any, Hashable, Iterable, Iterator
 
 from repro.tuner.cache import _freeze, costmodel_fingerprint
 
@@ -65,6 +67,10 @@ _VERSION = 1
 
 #: First bytes of every sqlite database file.
 _SQLITE_MAGIC = b"SQLite format 3\x00"
+
+#: Keys per ``IN (...)`` query in :meth:`SqliteCostStore.get_many`,
+#: below sqlite's historical 999 bound-parameter limit.
+_GET_MANY_CHUNK = 500
 
 
 def detect_backend(path: str | os.PathLike, backend: str | None = None) -> str:
@@ -290,6 +296,26 @@ class SqliteCostStore:
             "SELECT value FROM entries WHERE key = ?", (_encode_key(key),)
         ).fetchone()
         return None if row is None else json.loads(row[0])
+
+    def get_many(self, keys: Iterable[Hashable]) -> dict[Hashable, Any]:
+        """The stored records among ``keys``, as ``{key: record}``.
+
+        One ``IN (...)`` query per :data:`_GET_MANY_CHUNK` keys instead
+        of one point query per key; absent keys are simply missing from
+        the result.
+        """
+        by_text = {_encode_key(key): key for key in keys}
+        texts = list(by_text)
+        found: dict[Hashable, Any] = {}
+        conn = self._conn
+        for start in range(0, len(texts), _GET_MANY_CHUNK):
+            chunk = texts[start:start + _GET_MANY_CHUNK]
+            marks = ",".join("?" * len(chunk))
+            for key_text, value_text in conn.execute(
+                f"SELECT key, value FROM entries WHERE key IN ({marks})", chunk
+            ):
+                found[by_text[key_text]] = json.loads(value_text)
+        return found
 
     def put(self, key: Hashable, record: Any) -> None:
         """Insert or replace one record (committed immediately)."""

@@ -1,7 +1,9 @@
 """HTTP layer: routing, JSON error mapping, live-server round trips."""
 
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -80,6 +82,25 @@ class TestRouting:
     def test_trailing_slash_is_tolerated(self, server):
         status, _ = _get(server, "/v1/healthz/")
         assert status == 200
+
+
+class TestKeepAlive:
+    def test_sequential_requests_on_one_connection_do_not_stall(self, server):
+        # With Nagle's algorithm on, each response body waits for the
+        # client's delayed ACK of the header segment: ~40 ms a request.
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            t0 = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/v1/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200
+                assert json.loads(resp.read())["status"] == "ok"
+            elapsed = time.perf_counter() - t0
+        finally:
+            conn.close()
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f} s"
 
 
 class TestPlanEndpoint:

@@ -231,6 +231,24 @@ class TestStats:
         assert cache["backend"] == "memory/json"
         assert stats["sweeps"] == []
 
+    def test_plan_answer_does_not_count_the_store(self, tmp_path, monkeypatch):
+        # Counting a sqlite store is a full scan; the plan answer leaves
+        # the entry count to /v1/healthz and /v1/stats.
+        service = PlannerService(CostCache.open(str(tmp_path / "p.sqlite")))
+        counts = []
+        real_len = CostCache.__len__
+
+        def counting_len(cache):
+            counts.append(real_len(cache))
+            return counts[-1]
+
+        monkeypatch.setattr(CostCache, "__len__", counting_len)
+        body = service.plan(_BODY)
+        assert set(body["cache"]) == {"hits", "disk_hits", "misses", "pruned"}
+        assert counts == []
+        entries = service.healthz()["cache_entries"]
+        assert counts == [entries] and entries == body["cache"]["misses"]
+
     def test_sqlite_backed_service_reports_store_path(self, tmp_path):
         path = str(tmp_path / "plans.sqlite")
         service = PlannerService(CostCache.open(path))

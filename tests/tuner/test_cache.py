@@ -2,10 +2,14 @@
 
 import json
 import os
+import shutil
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import repro
 from repro.tuner import CacheStats, CostCache, costmodel_fingerprint
 
 
@@ -187,6 +191,32 @@ class TestCostModelFingerprint:
 
         with pytest.warns(UserWarning, match="fingerprint"):
             assert CostCache().load(path) == 0
+
+    def test_editing_workloads_changes_the_fingerprint(self, tmp_path):
+        """``Workload.costs``/``static_memory`` feed every cached record."""
+        src = tmp_path / "src"
+        shutil.copytree(
+            os.path.dirname(repro.__file__),
+            src / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+
+        def fingerprint():
+            env = dict(os.environ, PYTHONPATH=str(src))
+            return subprocess.run(
+                [sys.executable, "-B", "-c",
+                 "from repro.tuner.cache import costmodel_fingerprint; "
+                 "print(costmodel_fingerprint())"],
+                env=env, cwd=tmp_path, capture_output=True, text=True,
+                check=True,
+            ).stdout.strip()
+
+        before = fingerprint()
+        workloads = src / "repro" / "workloads.py"
+        text = workloads.read_bytes()
+        assert text.endswith(b"\n")
+        workloads.write_bytes(text[:-1] + b" ")  # one byte changed
+        assert fingerprint() != before
 
     def test_matching_fingerprint_round_trips(self, tmp_path):
         path = tmp_path / "cache.json"

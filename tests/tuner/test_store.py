@@ -3,11 +3,20 @@
 import json
 import multiprocessing
 import sqlite3
+import sys
+import threading
 
 import pytest
 
-from repro.tuner import CostCache, SqliteCostStore, costmodel_fingerprint, detect_backend
+from repro.tuner import (
+    CostCache,
+    SqliteCostStore,
+    autotune,
+    costmodel_fingerprint,
+    detect_backend,
+)
 from repro.tuner.store import is_sqlite_file
+from repro.workloads import Workload
 
 
 def _key(i):
@@ -61,6 +70,29 @@ class TestStore:
         assert store.put_many(iter((_key(i), _record(i)) for i in range(10))) == 10
         entries = dict(store.items())
         assert entries == {_key(i): _record(i) for i in range(10)}
+
+    def test_get_many_returns_found_keys_only(self, tmp_path):
+        store = SqliteCostStore(tmp_path / "store.sqlite")
+        for i in range(3):
+            store.put(_key(i), _record(i))
+        found = store.get_many([_key(0), _key(2), _key(7)])
+        assert found == {_key(0): _record(0), _key(2): _record(2)}
+        assert store.get_many([_key(8), _key(9)]) == {}
+        assert store.get_many([]) == {}
+
+    def test_get_many_spans_query_chunks(self, tmp_path):
+        store = SqliteCostStore(tmp_path / "store.sqlite")
+        # More keys than one IN (...) query takes, half of them absent.
+        store.put_many((_key(i), _record(i)) for i in range(0, 1300, 2))
+        found = store.get_many(_key(i) for i in range(1300))
+        assert found == {_key(i): _record(i) for i in range(0, 1300, 2)}
+
+    def test_get_many_round_trips_like_get(self, tmp_path):
+        path = tmp_path / "store.sqlite"
+        SqliteCostStore(path).put_many((_key(i), _record(i)) for i in range(5))
+        reopened = SqliteCostStore(path, create=False)
+        keys = [_key(i) for i in range(5)]
+        assert reopened.get_many(keys) == {key: reopened.get(key) for key in keys}
 
     def test_put_replaces(self, tmp_path):
         store = SqliteCostStore(tmp_path / "store.sqlite")
@@ -154,6 +186,20 @@ class TestCacheIntegration:
         with pytest.raises(KeyError):
             cache.peek(_key(99))
 
+    def test_fetch_many_loads_store_hits_as_disk_entries(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "store.sqlite"
+        SqliteCostStore(path).put_many((_key(i), _record(i)) for i in range(3))
+        cache = CostCache.open(path)
+        cache.adopt(_key(5), _record(5))
+        held = cache.fetch_many([_key(0), _key(2), _key(5), _key(9)])
+        assert held == {_key(0), _key(2), _key(5)}
+        assert cache.stats.lookups == 0
+        calls = _count_calls(monkeypatch, "get", "__contains__")
+        assert cache.get_or_eval(_key(0), lambda: pytest.fail("fetched")) == _record(0)
+        assert calls == {} and cache.stats.disk_hits == 1
+
     def test_save_flushes_adopted_entries(self, tmp_path):
         path = tmp_path / "store.sqlite"
         cache = CostCache.open(path)
@@ -171,14 +217,55 @@ class TestCacheIntegration:
             _key(i): _record(i) for i in range(3)
         }
 
-    def test_len_counts_memory_and_store_without_double_counting(self, tmp_path):
+    def test_len_counts_memory_and_store_without_double_counting(
+        self, tmp_path, monkeypatch
+    ):
         path = tmp_path / "store.sqlite"
         SqliteCostStore(path).put(_key(0), _record(0))
+        json_store, other = CostCache(), CostCache()
+        json_store.adopt(_key(3), _record(3))
+        json_store.save(tmp_path / "extra.json")
+        other.adopt(_key(4), _record(4))
         cache = CostCache.open(path)
         cache.get_or_eval(_key(0), lambda: pytest.fail("on disk"))  # fetched
         cache.get_or_eval(_key(1), lambda: _record(1))  # written through
         cache.adopt(_key(2), _record(2))  # memory only
-        assert len(cache) == 3
+        cache.load(tmp_path / "extra.json")  # memory only
+        cache.merge(other)  # memory only
+        assert len(cache) == 5
+
+        # Written-through entries are in the store already: counting
+        # them must not cost one store probe per evaluated record.
+        for i in range(10, 30):
+            cache.get_or_eval(_key(i), lambda i=i: _record(i))
+        probes = _count_calls(monkeypatch, "__contains__")
+        assert len(cache) == 25
+        assert probes == {"__contains__": 3}  # adopted, loaded, merged
+        cache.save(path)  # flushes the memory-only entries into the store
+        probes.clear()
+        assert len(cache) == 25
+        assert probes == {}
+
+    def test_len_probes_nothing_after_write_through_only(
+        self, tmp_path, monkeypatch
+    ):
+        cache = CostCache.open(tmp_path / "store.sqlite")
+        for i in range(20):
+            cache.get_or_eval(_key(i), lambda i=i: _record(i))
+        probes = _count_calls(monkeypatch, "__contains__")
+        assert len(cache) == 20
+        assert probes == {}
+
+    def test_len_counts_entries_held_before_the_store_was_attached(
+        self, tmp_path
+    ):
+        path = tmp_path / "store.sqlite"
+        SqliteCostStore(path).put_many((_key(i), _record(i)) for i in range(3))
+        cache = CostCache()
+        for i in range(2, 5):  # _key(2) is in the store too
+            cache.get_or_eval(_key(i), lambda i=i: _record(i))
+        cache.load(path)
+        assert len(cache) == 5
 
     def test_load_sqlite_file_with_json_suffix_is_pointed_at(self, tmp_path):
         path = tmp_path / "mislabeled.json"
@@ -205,6 +292,53 @@ class TestCacheIntegration:
         json_entries = dict(via_json.entries())
         sqlite_entries = {k: via_sqlite.peek(k) for k in json_entries}
         assert sqlite_entries == json_entries
+
+
+def _count_calls(monkeypatch, *names):
+    """Count calls to the named ``SqliteCostStore`` methods, by name."""
+    calls: dict[str, int] = {}
+    for name in names:
+        original = getattr(SqliteCostStore, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(SqliteCostStore, name, counted)
+    return calls
+
+
+class TestAutotuneOverStore:
+    """autotune reads the store once per sweep and answers as in memory."""
+
+    @pytest.fixture(scope="class")
+    def wl(self):
+        return Workload.paper("7B", "H20", 4, 32768)
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_warm_rerun_makes_no_per_key_store_calls(
+        self, tmp_path, monkeypatch, wl, workers
+    ):
+        path = tmp_path / "store.sqlite"
+        autotune(wl, cache=CostCache.open(path))
+        cache = CostCache.open(path)
+        calls = _count_calls(monkeypatch, "__contains__", "get", "get_many")
+        # Warm, so workers=2 dispatches nothing and starts no pool.
+        warm = autotune(wl, cache=cache, workers=workers)
+        assert calls == {"get_many": 1}
+        assert cache.stats.misses == 0 and cache.stats.disk_hits > 0
+        assert cache.stats.pruned > 0  # pruned rows took no store query
+
+        fresh = CostCache()
+        assert warm == autotune(wl, cache=fresh)
+        assert cache.stats.pruned == fresh.stats.pruned
+
+    def test_cached_records_are_never_pruned(self, tmp_path, wl):
+        path = tmp_path / "store.sqlite"
+        exhaustive = autotune(wl, cache=CostCache.open(path), prune=False)
+        cache = CostCache.open(path)
+        assert autotune(wl, cache=cache) == exhaustive
+        assert cache.stats.pruned == 0 and cache.stats.misses == 0
 
 
 def _writer(path, start, count):
@@ -236,6 +370,55 @@ class TestConcurrentWriters:
         assert len(store) == 4 * per_writer
         for i in range(4 * per_writer):
             assert store.get(_key(i)) == _record(i)
+
+
+class TestThreadedCache:
+    def test_batched_reads_race_adopts_and_write_through(
+        self, tmp_path, monkeypatch
+    ):
+        """More threads than cores mix fetch_many, adopt, write-through
+        and len; afterwards len counts every entry once and probes the
+        store for exactly the adopted keys."""
+        path = tmp_path / "store.sqlite"
+        SqliteCostStore(path).put_many((_key(i), _record(i)) for i in range(200))
+        cache = CostCache.open(path)
+        n_threads, rounds = 8, 20
+        gate = threading.Barrier(n_threads)
+        errors: list[BaseException] = []
+
+        def worker(t):
+            try:
+                gate.wait(timeout=30)
+                for i in range(rounds):
+                    keys = [_key(k) for k in range(10 * t, 10 * t + 60)]
+                    assert cache.fetch_many(keys) == set(keys)
+                    cache.adopt(_key(1000 + rounds * t + i), _record(i))
+                    n = 2000 + rounds * t + i
+                    cache.get_or_eval(_key(n), lambda n=n: _record(n))
+                    len(cache)
+            except Exception as err:  # reported below
+                errors.append(err)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(t,))
+                for t in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache.stats.misses == n_threads * rounds
+        probes = _count_calls(monkeypatch, "__contains__")
+        assert len(cache) == 200 + 2 * n_threads * rounds
+        assert probes == {"__contains__": n_threads * rounds}
+        cache.close()
 
 
 class TestConnectionLifecycle:
