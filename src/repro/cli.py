@@ -99,21 +99,6 @@ Commands
         python -m repro cache info sweep.json
         python -m repro cache migrate sweep.json plans.sqlite
 
-``bench``
-    Measure the tuner hot path -- candidates/sec (pruned and
-    exhaustive) with a per-phase build/simulate/bound/cache breakdown,
-    single-simulation wall time, warm-cache sweep time -- on the pinned
-    acceptance workload and write a tracked ``BENCH_<rev>.json``.
-    ``--compare`` gates against a committed baseline and fails on an
-    end-to-end, build-phase or simulate-phase candidates/sec
-    regression; ``--profile`` additionally cProfiles one sweep and
-    embeds/prints the top functions::
-
-        python -m repro bench
-        python -m repro bench --profile --top 15
-        python -m repro bench --smoke \\
-            --compare benchmarks/perf/BENCH_smoke_baseline.json
-
 ``experiment list|describe|run``
     The registered paper experiments (every figure/table module) behind
     one driver: ``list`` the registry, ``describe`` one spec's
@@ -831,102 +816,6 @@ def _cmd_cache_migrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import (
-        compare_bench,
-        default_out_name,
-        load_bench,
-        run_bench,
-        save_bench,
-    )
-
-    payload = run_bench(
-        smoke=args.smoke,
-        repeats=args.repeats,
-        profile=args.profile,
-        profile_top=args.top,
-    )
-    w = payload["workload"]
-    metrics = payload["metrics"]
-    counts = payload["counts"]
-    phases = payload["phases"]
-    print(
-        f"bench workload: {w['model']} on {w['gpu']} x {w['p']}, "
-        f"seq {w['seq_len']} ({payload['mode']})"
-    )
-    print(
-        f"  candidates/sec:  {metrics['candidates_per_s']:.1f}  "
-        f"({counts['candidates']} candidates in {metrics['sweep_s']:.3f} s; "
-        f"{counts['simulated']} simulated, {counts['pruned']} pruned)"
-    )
-    print(
-        f"  phases:          build {1e3 * phases['build_s']:.1f} ms "
-        f"({phases['built']} built, {phases['build_cache_hits']} cached) | "
-        f"simulate {1e3 * phases['simulate_s']:.1f} ms "
-        f"({phases['incremental_hits']} incremental, "
-        f"{phases['incremental_fallbacks']} fallback) | "
-        f"bound {1e3 * phases['bound_s']:.1f} ms | "
-        f"cache {1e3 * phases['cache_s']:.1f} ms"
-    )
-    print(
-        f"  build phase:     {metrics['build_candidates_per_s']:.1f} "
-        f"builds/sec | simulate phase: "
-        f"{metrics['simulate_candidates_per_s']:.1f} sims/sec"
-    )
-    print(
-        f"  exhaustive:      {metrics['exhaustive_candidates_per_s']:.1f} "
-        f"candidates/sec ({metrics['exhaustive_sweep_s']:.3f} s; pruning "
-        f"speedup {metrics['prune_speedup']:.2f}x, incremental speedup "
-        f"{metrics['incremental_speedup']:.2f}x)"
-    )
-    print(f"  single sim:      {1e3 * metrics['single_sim_s']:.3f} ms")
-    print(f"  warm-cache sweep: {1e3 * metrics['warm_sweep_s']:.2f} ms")
-    eq = payload["equivalence"]
-    print(
-        "  pruned best == exhaustive best: "
-        f"{'yes' if eq['pruned_best_equals_exhaustive'] else 'NO'}"
-        + (f" ({eq['best_label']})" if eq["best_label"] else "")
-    )
-    print(
-        "  incremental best == full-resim best: "
-        f"{'yes' if eq['incremental_best_equals_full'] else 'NO'}"
-    )
-    if args.profile:
-        print(f"  profile (top {args.top} by cumulative time):")
-        for entry in payload["profile"]["top"]:
-            where = f"{entry['file']}:{entry['line']}"
-            print(
-                f"    {1e3 * entry['cumtime_s']:8.1f} ms cum "
-                f"{1e3 * entry['tottime_s']:8.1f} ms self "
-                f"{entry['ncalls']:>9} calls  {entry['function']} ({where})"
-            )
-
-    out = args.out or default_out_name(args.smoke)
-    save_bench(payload, out)
-    print(f"wrote {out}")
-
-    ok = eq["pruned_best_equals_exhaustive"] and eq[
-        "incremental_best_equals_full"
-    ]
-    if not ok:
-        print(
-            "error: an optimisation changed the winning plan -- the sweep "
-            "is no longer equivalence-preserving",
-            file=sys.stderr,
-        )
-    if args.compare:
-        failures = compare_bench(
-            payload, load_bench(args.compare), args.max_regression
-        )
-        if failures:
-            for failure in failures:
-                print(f"regression: {failure}", file=sys.stderr)
-            ok = False
-        else:
-            print(f"no regression vs {args.compare}")
-    return 0 if ok else 1
-
-
 # -- experiment commands -----------------------------------------------------
 
 
@@ -1348,61 +1237,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="destination backend (default: by suffix)",
     )
     pc_migrate.set_defaults(fn=_cmd_cache_migrate)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="measure the tuner hot path and emit a BENCH_*.json",
-    )
-    p_bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="seconds-fast CI workload (1.3B / H20 / p=4 / 8k) instead "
-        "of the pinned acceptance grid (7B / H20 / p=8 / 64k)",
-    )
-    p_bench.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        metavar="N",
-        help="best-of-N timing runs per metric (default: %(default)s)",
-    )
-    p_bench.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="output JSON path (default: BENCH_<rev>.json, "
-        "BENCH_smoke_<rev>.json with --smoke)",
-    )
-    p_bench.add_argument(
-        "--compare",
-        default=None,
-        metavar="PATH",
-        help="committed baseline BENCH_*.json to gate against; a "
-        "candidates/sec drop beyond --max-regression fails the run",
-    )
-    p_bench.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.25,
-        metavar="F",
-        help="allowed fractional candidates/sec regression vs the "
-        "--compare baseline (default: %(default)s)",
-    )
-    p_bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="cProfile one extra sweep after the timed runs and embed "
-        "the top functions by cumulative time in the payload",
-    )
-    p_bench.add_argument(
-        "--top",
-        type=int,
-        default=25,
-        metavar="N",
-        help="number of profile entries to keep with --profile "
-        "(default: %(default)s)",
-    )
-    p_bench.set_defaults(fn=_cmd_bench)
 
     p_exp = sub.add_parser(
         "experiment", help="run the registered paper experiments"

@@ -89,6 +89,8 @@ class PlannerAPIHandler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> Any:
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:  # rfile.read(-1) would wait for the client to close
+            raise ValueError(f"negative Content-Length {length}")
         if length > _MAX_BODY_BYTES:
             raise ValueError(
                 f"request body of {length} bytes exceeds the "

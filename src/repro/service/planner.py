@@ -38,6 +38,7 @@ compared byte-for-byte against a direct :func:`autotune` run.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -95,9 +96,13 @@ _SWEEP_FIELDS = frozenset(
 )
 
 
+def _is_positive_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
 def _parse_int(payload: Mapping[str, Any], name: str, default: int) -> int:
     value = payload.get(name, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+    if not _is_positive_int(value):
         raise ValueError(f"{name!r} must be a positive integer, got {value!r}")
     return value
 
@@ -106,7 +111,7 @@ def _parse_seq(value: Any, name: str = "seq_len") -> int:
     """A sequence length given as an int or a k-suffixed string."""
     if isinstance(value, str):
         return parse_seq_len(value)
-    if isinstance(value, int) and not isinstance(value, bool) and value > 0:
+    if _is_positive_int(value):
         return value
     raise ValueError(
         f"{name!r} must be a positive integer or a k-suffixed string "
@@ -211,10 +216,13 @@ def parse_plan_request(payload: Mapping[str, Any]) -> PlanQuery:
         num_micro_batches = _parse_int(payload, "num_micro_batches", 0)
     cap = payload.get("memory_cap_gib")
     if cap is not None and (
-        isinstance(cap, bool) or not isinstance(cap, (int, float)) or cap < 0
+        isinstance(cap, bool)
+        or not isinstance(cap, (int, float))
+        or not math.isfinite(cap)
+        or cap < 0
     ):
         raise ValueError(
-            f"'memory_cap_gib' must be a non-negative number, got {cap!r}"
+            f"'memory_cap_gib' must be a finite non-negative number, got {cap!r}"
         )
     top = payload.get("top")
     if top is not None:
@@ -424,18 +432,28 @@ class PlannerService:
                 f"'seq_lens' must be a non-empty list, got {seq_lens!r}"
             )
         pipeline_sizes = payload.get("pipeline_sizes", [8])
-        if not isinstance(pipeline_sizes, (list, tuple)) or not pipeline_sizes:
+        if (
+            not isinstance(pipeline_sizes, (list, tuple))
+            or not pipeline_sizes
+            or not all(map(_is_positive_int, pipeline_sizes))
+        ):
             raise ValueError(
-                f"'pipeline_sizes' must be a non-empty list, got {pipeline_sizes!r}"
+                "'pipeline_sizes' must be a non-empty list of positive "
+                f"integers, got {pipeline_sizes!r}"
             )
         budget = payload.get("budget_tokens")
         if isinstance(budget, str):
             budget = parse_token_budget(budget)
+        elif budget is not None and not _is_positive_int(budget):
+            raise ValueError(
+                "'budget_tokens' must be a positive integer or a k/M/G-suffixed "
+                f"string (e.g. '4M'), got {budget!r}"
+            )
         grid = WorkloadGrid(
             model=payload.get("model", "7B"),
             gpu=payload.get("gpu", "H20"),
             seq_lens=tuple(_parse_seq(s, "seq_lens") for s in seq_lens),
-            pipeline_sizes=tuple(int(p) for p in pipeline_sizes),
+            pipeline_sizes=tuple(pipeline_sizes),
             micro_batch=_parse_int(payload, "micro_batch", 1),
             budget_tokens=budget,
         )

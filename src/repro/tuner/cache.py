@@ -197,8 +197,9 @@ class CostCache:
     #: Keys whose entries came off a persisted store (for stats only).
     _disk_keys: set[Hashable] = field(default_factory=set)  # guarded-by: _lock
     #: Keys in ``_data`` not known to be in ``store`` (adopted, merged,
-    #: JSON-loaded, or held before the store was attached); the only
-    #: keys :meth:`__len__` has to probe the store for.
+    #: JSON-loaded, held before the store was attached, or evaluated and
+    #: not yet written through); the only keys :meth:`__len__` has to
+    #: probe the store for, and the only ones :meth:`save` writes to it.
     _unstored: set[Hashable] = field(default_factory=set)  # guarded-by: _lock
     #: Lazy on-disk backend; None for a purely in-memory (or JSON) cache.
     store: "SqliteCostStore | None" = None
@@ -240,11 +241,17 @@ class CostCache:
         with self._lock:
             self.stats.misses += 1
             self._data[key] = value
+            if store is not None:
+                self._unstored.add(key)
         if store is not None:
             # Write-through: a concurrent process sharing the store
             # (another sweep, the planner service) can reuse this
-            # evaluation without waiting for an explicit save().
+            # evaluation without waiting for an explicit save().  The
+            # key stays unstored until the put returns, so a save()
+            # after a failed put still writes it.
             store.put(key, value)
+            with self._lock:
+                self._unstored.discard(key)
         return value
 
     def peek(self, key: Hashable) -> Any:
@@ -336,8 +343,10 @@ class CostCache:
         otherwise (:func:`repro.tuner.store.detect_backend`).  On the
         sqlite backend the entries are upserted into the store (created
         if missing) in one transaction and the return value is the
-        store's total entry count; on the JSON backend the whole store
-        is rewritten and the return value is this cache's entry count.
+        store's total entry count; when ``path`` is the attached store,
+        only the entries it may lack (``_unstored``) are upserted.  On
+        the JSON backend the whole store is rewritten and the return
+        value is this cache's entry count.
         Missing parent directories are created either way, so saving to
         ``new/dir/store.json`` works instead of dying inside
         ``mkstemp`` with a raw :class:`FileNotFoundError`.
@@ -354,22 +363,26 @@ class CostCache:
         path = os.fspath(path)
         from repro.tuner.store import SqliteCostStore, detect_backend
 
-        items = self.entries()  # snapshot; the file/sqlite I/O below runs unlocked
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
         if detect_backend(path, backend) == "sqlite":
-            if self.store is not None and os.path.abspath(
-                self.store.path
+            store = self.store
+            if store is not None and os.path.abspath(
+                store.path
             ) == os.path.abspath(path):
-                store = self.store
-            else:
-                store = SqliteCostStore(path)
-            store.put_many(iter(items))
-            if store is self.store:
+                # Fetched and written-through entries are there already.
                 with self._lock:
-                    self._unstored.difference_update(key for key, _ in items)
+                    items = [(key, self._data[key]) for key in self._unstored]
+                if items:
+                    store.put_many(iter(items))
+                    with self._lock:
+                        self._unstored.difference_update(key for key, _ in items)
+                return len(store)
+            store = SqliteCostStore(path)
+            store.put_many(iter(self.entries()))
             return len(store)
+        items = self.entries()  # snapshot; the file I/O below runs unlocked
         payload = {
             "format": _FORMAT,
             "version": _VERSION,

@@ -4,9 +4,8 @@ The cold sweep decomposes into four phases -- candidate *build* (IR
 construction), *bound* pricing (closed-form throughput upper bounds for
 pruning), *simulate* (discrete-event evaluation, full or incremental),
 and residual *cache/bookkeeping* overhead.  :class:`SweepTelemetry`
-accumulates wall time and counters for each so the perf harness
-(``repro bench``) can report where a sweep actually spends its time and
-gate regressions per phase instead of only end to end.
+accumulates wall time and counters for each, so a sweep can report where
+its time went, per phase rather than only end to end.
 
 Pass an instance to :func:`repro.tuner.autotune` (or
 :func:`repro.tuner.tune_grid`, which shares one across its points); the
@@ -18,7 +17,7 @@ observed -- per-phase attribution is a serial-sweep tool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["SweepTelemetry"]
 
@@ -38,7 +37,6 @@ class SweepTelemetry:
     references_recorded: int = 0
     incremental_hits: int = 0
     incremental_fallbacks: int = 0
-    extra: dict = field(default_factory=dict)
 
     @property
     def cache_s(self) -> float:
@@ -52,7 +50,7 @@ class SweepTelemetry:
         return residual if residual > 0.0 else 0.0
 
     def as_dict(self) -> dict:
-        """JSON-ready snapshot (the perf harness embeds this)."""
+        """JSON-ready snapshot (``/v1/stats`` embeds this)."""
         return {
             "build_s": self.build_s,
             "simulate_s": self.simulate_s,
@@ -73,4 +71,3 @@ class SweepTelemetry:
         self.candidates = self.built = self.simulated = 0
         self.build_cache_hits = self.references_recorded = 0
         self.incremental_hits = self.incremental_fallbacks = 0
-        self.extra.clear()

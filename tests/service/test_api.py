@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -138,6 +139,24 @@ class TestPlanEndpoint:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
+
+    def test_negative_content_length_is_400_on_the_open_connection(self, server):
+        # rfile.read(-1) reads to EOF: the handler would wait for the
+        # client to close, then plan the body for a client that is gone.
+        sock = socket.create_connection(server.server_address[:2], timeout=1.0)
+        try:
+            sock.sendall(
+                b"POST /v1/plan HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Type: application/json\r\nContent-Length: -1\r\n\r\n{}"
+            )
+            resp = http.client.HTTPResponse(sock)
+            resp.begin()
+            assert resp.status == 400
+            assert "Content-Length" in json.loads(resp.read())["error"]
+        finally:
+            sock.close()
+        telemetry = server.service.telemetry.as_dict()
+        assert telemetry["plans"] == 0 and telemetry["errors"] == 1
 
     def test_empty_body_uses_defaults_but_is_validated(self, server):
         # An empty body is the all-defaults plan request (64k x p=8); we

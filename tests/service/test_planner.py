@@ -60,6 +60,8 @@ class TestParsePlanRequest:
             {"seq_len": -1},
             {"top": 0},
             {"memory_cap_gib": -1},
+            {"memory_cap_gib": float("nan")},
+            {"memory_cap_gib": float("inf")},
             {"schedules": []},
             {"options": "yes"},
             {"prune": 1},
@@ -202,6 +204,12 @@ class TestSweeps:
             service.start_sweep({"seq_lens": []})
         with pytest.raises(ValueError, match="unknown model preset"):
             service.start_sweep({"model": "70T"})
+        for sizes in ([True], [2.5]):
+            with pytest.raises(ValueError, match="pipeline_sizes"):
+                service.start_sweep({"pipeline_sizes": sizes})
+        for budget in (float("nan"), 1.5, [1]):
+            with pytest.raises(ValueError, match="budget_tokens"):
+                service.start_sweep({"budget_tokens": budget})
         assert service.telemetry.as_dict()["sweeps_started"] == 0
 
     def test_failed_sweep_is_recorded_not_raised(self):

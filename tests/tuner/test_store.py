@@ -207,6 +207,40 @@ class TestCacheIntegration:
         assert cache.save(path) == 1
         assert SqliteCostStore(path, create=False).get(_key(0)) == _record(0)
 
+    def test_save_to_attached_store_writes_only_unstored_rows(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "store.sqlite"
+        SqliteCostStore(path).put(_key(0), _record(0))
+        cache = CostCache.open(path)
+        cache.get_or_eval(_key(0), lambda: pytest.fail("on disk"))  # fetched
+        cache.get_or_eval(_key(1), lambda: _record(1))  # written through
+        written = []
+        put_many = SqliteCostStore.put_many
+
+        def counting_put_many(store, entries):
+            entries = list(entries)
+            written.extend(key for key, _ in entries)
+            return put_many(store, iter(entries))
+
+        monkeypatch.setattr(SqliteCostStore, "put_many", counting_put_many)
+        assert cache.save(path) == 2
+        assert written == []
+
+        cache.adopt(_key(2), _record(2))  # adopt() does not write through
+
+        def failing_put(store, key, record):
+            raise sqlite3.OperationalError("database is locked")
+
+        monkeypatch.setattr(SqliteCostStore, "put", failing_put)
+        with pytest.raises(sqlite3.OperationalError):
+            cache.get_or_eval(_key(3), lambda: _record(3))
+        assert cache.save(path) == 4
+        assert sorted(written) == [_key(2), _key(3)]
+        assert dict(SqliteCostStore(path, create=False).items()) == {
+            _key(i): _record(i) for i in range(4)
+        }
+
     def test_save_json_cache_to_sqlite_path(self, tmp_path):
         cache = CostCache()
         for i in range(3):
