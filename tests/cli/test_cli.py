@@ -43,6 +43,14 @@ class TestList:
         assert "helix" in proc.stdout
 
 
+    def test_bench_is_not_a_verb(self, capsys):
+        """The in-process benchmark verb is gone; planbench measures the planner."""
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
 class TestDescribe:
     def test_describe_shows_schema_and_grid(self, capsys):
         code, out, _ = run(capsys, "describe", "helix", "-p", "8")

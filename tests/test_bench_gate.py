@@ -126,3 +126,66 @@ def test_benchmark_json_carries_what_the_gate_reads():
     for metric in spec["end_to_end"]:
         assert metric["better"] in ("higher", "lower")
         assert 0 < metric["bound"] < 1
+
+
+def test_metric_no_pair_measured_fails():
+    runs = [(_result(), _result()) for _ in range(5)]  # no metrics at all
+    failures = _verdict({"cold-plan": runs})
+    assert any("cold-plan plans_per_s: no pair measured it" in f for f in failures)
+    assert any("cold-plan plan_ms_p50: no pair measured it" in f for f in failures)
+
+
+def _copy_benchmark(dest):
+    for rel, data in bench_gate.benchmark_files(ROOT).items():
+        (dest / rel).parent.mkdir(parents=True, exist_ok=True)
+        (dest / rel).write_bytes(data)
+
+
+def _fake_runs(monkeypatch, slower_change=1.0):
+    """Replace planbench runs with synthetic results; return the call log."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    calls = []
+
+    def run_once(root, workload, seed):
+        calls.append((root, workload, seed))
+        scale = slower_change if root == bench_gate.ROOT else 1.0
+        values = {
+            m["name"]: 10.0 * (scale if m["better"] == "lower" else 1.0 / scale)
+            for m in spec["end_to_end"]
+        }
+        return _result(**values)
+
+    monkeypatch.setattr(bench_gate, "run_once", run_once)
+    return spec, calls
+
+
+def test_main_refuses_a_base_without_the_same_benchmark(tmp_path, monkeypatch, capsys):
+    _, calls = _fake_runs(monkeypatch)
+    assert bench_gate.main([str(tmp_path)]) == 2
+    assert calls == []
+    assert "does not hold this checkout's planbench/" in capsys.readouterr().err
+
+
+def test_main_alternates_sides_and_shares_seeds(tmp_path, monkeypatch, capsys):
+    _copy_benchmark(tmp_path)
+    spec, calls = _fake_runs(monkeypatch)
+    assert bench_gate.main([str(tmp_path)]) == 0
+    assert "bench_gate: passed" in capsys.readouterr().out
+    base, change = tmp_path.resolve(), bench_gate.ROOT
+    expected = []
+    for workload in (w["name"] for w in spec["workloads"]):
+        for i in range(bench_gate.PAIRS):
+            first, second = (base, change) if i % 2 == 0 else (change, base)
+            expected += [(first, workload, i + 1), (second, workload, i + 1)]
+    assert calls == expected
+
+
+def test_main_exits_1_when_the_change_regresses(tmp_path, monkeypatch, capsys):
+    _copy_benchmark(tmp_path)
+    spec, _ = _fake_runs(monkeypatch, slower_change=2.0)
+    assert bench_gate.main([str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "bench_gate: FAILED" in out
+    for workload in (w["name"] for w in spec["workloads"]):
+        for metric in spec["end_to_end"]:
+            assert f"FAIL {workload} {metric['name']}: median" in out
