@@ -51,16 +51,16 @@ strategies x feasible micro-batch counts x each schedule's option grid,
 evaluates each candidate with the discrete-event simulator behind a
 memoizing cost cache, and returns ranked plans with per-candidate
 infeasibility reasons.  Large grids evaluate in a process pool
-(``workers=N``) and the cache persists to disk:
+(``workers=N``) and the cache persists to a sqlite store, which every
+evaluation is written through:
 
 >>> from repro.experiments import Workload
 >>> from repro.tuner import CostCache, autotune
 >>> from repro.analysis import format_plan_table
->>> cache = CostCache()
+>>> cache = CostCache.open("sweep.sqlite")   # later runs reopen it warm
 >>> plans = autotune(Workload.paper("7B", "H20", 8, 65536),
 ...                  cache=cache, workers=4)
 >>> print(format_plan_table(plans[:5]))
->>> cache.save("sweep-cache.json")   # later: CostCache.from_file(...)
 
 See ``examples/autotune_demo.py`` for a runnable walkthrough.
 
@@ -74,7 +74,7 @@ registry-driven CLI (:mod:`repro.cli`)::
     python -m repro build helix --model 7B --gpu H20 -p 8 --seq-len 64k
     python -m repro simulate zb1p --model 7B --gpu H20 -p 8 --seq-len 64k
     python -m repro tune --model 7B --gpu H20 -p 8 --seq-len 64k \\
-        --workers 4 --cache sweep-cache.json
+        --workers 4 --cache sweep.sqlite
     python -m repro tune --budget-tokens 1M --seq-lens 16k,32k,64k -p 4,8
     python -m repro experiment run fig8_throughput --smoke --json --out out/
 """

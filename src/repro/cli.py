@@ -56,12 +56,13 @@ Commands
 ``tune``
     Run :func:`repro.tuner.autotune` over the full candidate grid and
     print the ranked plan table.  ``--workers N`` evaluates cold
-    candidates in a process pool; ``--cache PATH`` loads a persisted
-    cost cache before the sweep and saves it after, so repeated sweeps
-    (and sweeps from other processes) reuse every evaluation::
+    candidates in a process pool; ``--cache PATH`` attaches a sqlite
+    cost cache store (created when missing) that every evaluation is
+    written through, so repeated sweeps (and sweeps from other
+    processes) reuse every evaluation::
 
         python -m repro tune --model 7B --gpu H20 -p 8 --seq-len 64k \\
-            --workers 4 --cache sweep.json
+            --workers 4 --cache sweep.sqlite
 
     Passing several sequence lengths or pipeline sizes -- or a token
     budget -- turns the sweep into workload-grid planning
@@ -74,11 +75,6 @@ Commands
 
     ``--smoke`` shrinks the grid to a seconds-fast sanity sweep for CI.
 
-    ``--cache`` selects its store backend by suffix: ``.json`` is the
-    eager atomic-rewrite store, ``.sqlite``/``.sqlite3``/``.db`` the
-    lazy indexed store that supports concurrent writers; ``--backend``
-    overrides the suffix.
-
 ``serve``
     Run the planner as a long-lived HTTP/JSON service over a shared
     cost cache (:mod:`repro.service`): ``POST /v1/plan`` resolves a
@@ -90,14 +86,11 @@ Commands
         python -m repro serve --cache plans.sqlite --port 8642
         curl -s localhost:8642/v1/plan -d '{"model":"7B","p":8,"seq_len":"64k"}'
 
-``cache info|migrate``
-    Store utilities: ``info`` prints a store's backend, entry count and
-    cost-model fingerprint freshness; ``migrate`` copies a store across
-    backends (e.g. a JSON sweep cache into the sqlite store the service
-    reads)::
+``cache info``
+    Prints a store's backend, entry count and cost-model fingerprint
+    freshness without modifying it (exit 1 when stale)::
 
-        python -m repro cache info sweep.json
-        python -m repro cache migrate sweep.json plans.sqlite
+        python -m repro cache info plans.sqlite
 
 ``experiment list|describe|run``
     The registered paper experiments (every figure/table module) behind
@@ -134,6 +127,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import math
 import os
 import sys
 import time
@@ -158,7 +152,6 @@ from repro.schedules.registry import (
     get_schedule,
 )
 from repro.tuner import CostCache, autotune, tune_grid
-from repro.tuner.store import BACKENDS
 from repro.workloads import (
     GPU_CLUSTERS,
     Workload,
@@ -197,6 +190,32 @@ _seq_len = _argtype(parse_seq_len)
 _seq_lens = _argtype(parse_seq_lens)
 _int_list = _argtype(parse_int_list)
 _token_budget = _argtype(parse_token_budget)
+
+
+def _checked(convert, ok, what: str):
+    """An argparse type: ``convert`` the text and require ``ok`` of it.
+
+    The counts and the memory cap follow the rules ``POST /v1/plan``
+    applies to the same fields, so ``tune`` refuses what the service
+    refuses instead of sweeping a workload that cannot run.
+    """
+
+    def typed(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return typed
+
+
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_memory_cap_gib = _checked(
+    float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0"
+)
 
 
 def _option(text: str) -> tuple[str, Any]:
@@ -307,7 +326,7 @@ def _add_workload_args(parser: argparse.ArgumentParser, grid: bool = False) -> N
         )
     g.add_argument(
         "--micro-batch",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="B",
         help="micro-batch size (default: %(default)s)",
@@ -315,7 +334,7 @@ def _add_workload_args(parser: argparse.ArgumentParser, grid: bool = False) -> N
     g.add_argument(
         "-m",
         "--num-micro-batches",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="M",
         help="micro-batch budget per iteration (default: 2 x pipeline size"
@@ -448,25 +467,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_cache(path: str | None, backend: str | None = None) -> CostCache:
-    """A CostCache bound to ``path`` (either backend), fresh when missing.
+def _load_cache(path: str | None) -> CostCache:
+    """A CostCache attached to the sqlite store at ``path``, if given.
 
-    Backend selection follows the path suffix unless ``--backend`` says
-    otherwise (:func:`repro.tuner.store.detect_backend`).  A sqlite path
-    attaches the store for lazy lookup + write-through; a JSON path is
-    loaded eagerly when it exists.  Missing files (and missing parent
-    directories) are fine -- save creates both.
+    A missing store (and missing parent directories) is created; a file
+    that is not a store is refused and left as it was.
     """
     if not path:
         return CostCache()
-    cache = CostCache.open(path, backend=backend)
-    if cache.store is not None:
-        print(
-            f"cache: attached sqlite store {path} "
-            f"({len(cache.store)} entries)"
-        )
-    elif os.path.exists(path):
-        print(f"cache: loaded {len(cache)} entries from {path}")
+    cache = CostCache.open(path)
+    assert cache.store is not None  # open() always attaches one
+    print(f"cache: attached sqlite store {path} ({len(cache.store)} entries)")
     return cache
 
 
@@ -614,7 +625,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     elif args.smoke:
         schedules = ["1f1b", "helix"]
 
-    cache = _load_cache(args.cache, args.backend)
+    cache = _load_cache(args.cache)
 
     kwargs: dict[str, Any] = {"prune": not args.no_prune}
     if args.no_options or args.smoke:
@@ -701,7 +712,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         )
 
     if args.cache:
-        saved = cache.save(args.cache, backend=args.backend)
+        saved = cache.save()
         print(f"cache: saved {saved} entries to {args.cache}")
     return 0 if found else 1
 
@@ -711,13 +722,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service import PlannerService, create_server
 
-    cache = _load_cache(args.cache, args.backend)
-    service = PlannerService(
-        cache,
-        workers=args.workers,
-        save_path=args.cache,
-        save_backend=args.backend,
-    )
+    service = PlannerService(_load_cache(args.cache), workers=args.workers)
     server = create_server(args.host, args.port, service)
     host, port = server.server_address[:2]
     print(f"planner service listening on http://{host}:{port}")
@@ -750,70 +755,35 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_info(args: argparse.Namespace) -> int:
-    import json as _json
     import sqlite3
 
     from repro.tuner import costmodel_fingerprint
-    from repro.tuner.store import detect_backend
 
-    backend = detect_backend(args.path, args.backend)
+    # Inspect the file directly: opening a SqliteCostStore would
+    # clear-and-restamp a stale store, and info must be read-only.
+    if not os.path.exists(args.path):
+        raise FileNotFoundError(
+            f"sqlite cost cache store {args.path!r} does not exist"
+        )
+    conn = sqlite3.connect(args.path)
+    try:
+        meta = dict(conn.execute("SELECT key, value FROM meta"))
+        entries = conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
+    except sqlite3.DatabaseError as err:
+        raise ValueError(
+            f"{args.path!r} is not a sqlite cost cache store ({err})"
+        ) from None
+    finally:
+        conn.close()
+    stamped = meta.get("costmodel")
     current = costmodel_fingerprint()
-    if backend == "sqlite":
-        # Inspect the file directly: opening a SqliteCostStore would
-        # clear-and-restamp a stale store, and info must be read-only.
-        if not os.path.exists(args.path):
-            raise FileNotFoundError(
-                f"sqlite cost cache store {args.path!r} does not exist"
-            )
-        conn = sqlite3.connect(args.path)
-        try:
-            meta = dict(conn.execute("SELECT key, value FROM meta"))
-            entries = conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
-        except sqlite3.DatabaseError as err:
-            raise ValueError(
-                f"{args.path!r} is not a sqlite cost cache store ({err})"
-            ) from None
-        finally:
-            conn.close()
-        stamped = meta.get("costmodel")
-    else:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            payload = _json.load(fh)
-        if not isinstance(payload, dict) or "entries" not in payload:
-            print(
-                f"error: {args.path!r} is not a cost cache store",
-                file=sys.stderr,
-            )
-            return 1
-        entries, stamped = len(payload["entries"]), payload.get("costmodel")
     print(f"path:        {args.path}")
-    print(f"backend:     {backend}")
+    print("backend:     sqlite")
     print(f"entries:     {entries}")
     print(f"costmodel:   {stamped}")
     fresh = stamped == current
     print(f"fingerprint: {'current' if fresh else f'STALE (running {current})'}")
     return 0 if fresh else 1
-
-
-def _cmd_cache_migrate(args: argparse.Namespace) -> int:
-    from repro.tuner.store import detect_backend
-
-    src_backend = detect_backend(args.src, args.src_backend)
-    dst_backend = detect_backend(args.dst, args.dst_backend)
-    cache = CostCache()
-    cache.load(args.src, backend=src_backend)
-    if cache.store is not None:
-        # A sqlite source is attached lazily; materialise it so the
-        # destination gets every entry (and detach, so an sqlite->sqlite
-        # copy writes the destination file rather than the source).
-        for key, value in cache.store.items():
-            cache.adopt(key, value)
-        cache.store = None
-    count = sum(1 for _ in cache.entries())
-    print(f"cache: loaded {count} entries from {args.src} ({src_backend})")
-    saved = cache.save(args.dst, backend=dst_backend)
-    print(f"cache: wrote {saved} entries to {args.dst} ({dst_backend})")
-    return 0
 
 
 # -- experiment commands -----------------------------------------------------
@@ -1113,25 +1083,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache",
         default=None,
         metavar="PATH",
-        help="persistent cost cache: loaded before the sweep, saved after; "
-        "a .sqlite/.db suffix selects the lazy sqlite store",
-    )
-    p_tune.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help="cost cache store backend (default: by --cache suffix)",
+        help="persistent sqlite cost cache store, created when missing; "
+        "every evaluation is written through",
     )
     p_tune.add_argument(
         "--memory-cap-gib",
-        type=float,
+        type=_memory_cap_gib,
         default=None,
         metavar="G",
         help="per-GPU memory cap in GiB (default: the GPU's HBM size)",
     )
     p_tune.add_argument(
         "--top",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="K",
         help="show only the first K rows of the ranked table",
@@ -1180,14 +1144,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache",
         default=None,
         metavar="PATH",
-        help="shared cost cache store; a .sqlite/.db suffix selects the "
-        "lazy concurrent sqlite backend (recommended for serving)",
-    )
-    p_serve.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help="cost cache store backend (default: by --cache suffix)",
+        help="shared sqlite cost cache store, created when missing",
     )
     p_serve.add_argument(
         "--workers",
@@ -1198,9 +1155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_serve.set_defaults(fn=_cmd_serve)
 
-    p_cache = sub.add_parser(
-        "cache", help="cost cache store utilities (info, migrate)"
-    )
+    p_cache = sub.add_parser("cache", help="cost cache store utilities (info)")
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
 
     pc_info = cache_sub.add_parser(
@@ -1209,34 +1164,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "freshness (exit 1 when stale)",
     )
     pc_info.add_argument("path", help="cost cache store path")
-    pc_info.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help="store backend (default: by suffix)",
-    )
     pc_info.set_defaults(fn=_cmd_cache_info)
-
-    pc_migrate = cache_sub.add_parser(
-        "migrate",
-        help="copy a cost cache store between backends "
-        "(e.g. sweep.json -> plans.sqlite)",
-    )
-    pc_migrate.add_argument("src", help="source store path")
-    pc_migrate.add_argument("dst", help="destination store path")
-    pc_migrate.add_argument(
-        "--src-backend",
-        choices=BACKENDS,
-        default=None,
-        help="source backend (default: by suffix)",
-    )
-    pc_migrate.add_argument(
-        "--dst-backend",
-        choices=BACKENDS,
-        default=None,
-        help="destination backend (default: by suffix)",
-    )
-    pc_migrate.set_defaults(fn=_cmd_cache_migrate)
 
     p_exp = sub.add_parser(
         "experiment", help="run the registered paper experiments"

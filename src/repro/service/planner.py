@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.model.config import MODEL_PRESETS
-from repro.schedules.registry import workload_cache_key
+from repro.schedules.registry import available_schedules, workload_cache_key
 from repro.tuner.autotune import PlanResult, autotune
 from repro.tuner.cache import CostCache
 from repro.tuner.grid import tune_grid
@@ -130,6 +130,12 @@ def _parse_schedules(payload: Mapping[str, Any]) -> tuple[str, ...] | None:
     ):
         raise ValueError(
             f"'schedules' must be a non-empty list of names, got {value!r}"
+        )
+    registered = available_schedules()
+    unknown = sorted(set(value) - set(registered))
+    if unknown:
+        raise ValueError(
+            f"unknown schedule(s) {unknown}; registered: {registered}"
         )
     return tuple(value)
 
@@ -288,17 +294,14 @@ class PlannerService:
     Parameters
     ----------
     cache:
-        The shared :class:`CostCache` (typically sqlite-backed via
-        :meth:`CostCache.open`, so evaluations persist and concurrent
-        processes share them).  Defaults to a fresh in-memory cache.
+        The shared :class:`CostCache` (typically attached to a sqlite
+        store via :meth:`CostCache.open`, so evaluations persist and
+        concurrent processes share them).  Background sweeps and
+        :meth:`close` flush it to its store (:meth:`CostCache.save`).
+        Defaults to a fresh in-memory cache.
     workers:
         Process-pool size for cold candidate evaluation *within* one
         sweep (``autotune(..., workers=N)``); None evaluates serially.
-    save_path, save_backend:
-        When set, :meth:`save_cache` persists the cache there -- the
-        HTTP layer calls it on shutdown, and background sweeps call it
-        on completion (for the JSON backend; a sqlite store persists
-        continuously through write-through).
     """
 
     def __init__(
@@ -306,13 +309,9 @@ class PlannerService:
         cache: CostCache | None = None,
         *,
         workers: int | None = None,
-        save_path: str | None = None,
-        save_backend: str | None = None,
     ) -> None:
         self.cache = cache if cache is not None else CostCache()
         self.workers = workers
-        self.save_path = save_path
-        self.save_backend = save_backend
         self.telemetry = ServiceTelemetry()
         self.sweep_telemetry = SweepTelemetry()
         self.started_at = time.time()
@@ -324,7 +323,6 @@ class PlannerService:
         self._sweep_seq = 0  # guarded-by: _inflight_lock
         self._threads: list[threading.Thread] = []  # guarded-by: _inflight_lock
         self._closed = False  # guarded-by: _inflight_lock
-        self._save_lock = threading.Lock()
 
     # -- planning ---------------------------------------------------------
 
@@ -515,7 +513,7 @@ class PlannerService:
             record["candidates"] = len(plans)
             record["state"] = "done"
             self.telemetry.record_sweep("completed")
-            self.save_cache()
+            self.cache.save()
         except Exception as err:  # surfaced via /v1/sweeps, not a crash
             record["error"] = str(err)
             record["state"] = "failed"
@@ -536,10 +534,11 @@ class PlannerService:
         Rejects new sweeps, joins every live sweep thread (bounded by
         ``timeout`` seconds each -- sweeps are daemon threads, so a
         stuck one is abandoned rather than hanging shutdown forever),
-        persists the cache a final time and closes the store's sqlite
-        connections.  Idempotent; the HTTP layer calls it from signal
-        handling so a SIGTERM'd service never dies mid-write.  Returns
-        the final save's entry count (None without a ``save_path``).
+        flushes the cache to its store a final time and closes the
+        store's sqlite connections.  Idempotent; the HTTP layer calls it
+        from signal handling so a SIGTERM'd service never dies
+        mid-write.  Returns the store's entry count after the flush
+        (None for an in-memory cache).
         """
         with self._inflight_lock:
             self._closed = True
@@ -547,7 +546,7 @@ class PlannerService:
             self._threads = []
         for thread in threads:
             thread.join(timeout)
-        saved = self.save_cache()
+        saved = self.cache.save()
         self.cache.close()
         return saved
 
@@ -573,21 +572,9 @@ class PlannerService:
                 "pruned": stats.pruned,
                 "hit_rate": stats.hit_rate,
                 "entries": len(self.cache),
-                "backend": "sqlite" if store is not None else "memory/json",
-                "path": store.path if store is not None else self.save_path,
+                "backend": "sqlite" if store is not None else "memory",
+                "path": store.path if store is not None else None,
             },
             "sweep_telemetry": self.sweep_telemetry.as_dict(),
             "sweeps": self.sweeps(),
         }
-
-    def save_cache(self) -> int | None:
-        """Persist the cache to ``save_path`` (no-op without one).
-
-        The sqlite backend persists continuously through write-through;
-        this explicitly flushes adopted/merged entries too, and is what
-        gives the JSON backend its durability (shutdown + post-sweep).
-        """
-        if not self.save_path:
-            return None
-        with self._save_lock:  # lint-code: allow(blocking-under-lock) -- serializes whole-store rewrites
-            return self.cache.save(self.save_path, backend=self.save_backend)

@@ -5,10 +5,10 @@ strategy x micro-batch count x schedule-option grid) for the fastest
 plan that fits a memory cap, using the discrete-event simulator as the
 evaluator behind a memoizing cost cache.  Sweeps scale out
 (``autotune(..., workers=N)`` evaluates cold candidates in a process
-pool) and persist (:meth:`CostCache.save` / :meth:`CostCache.from_file`
-round-trip every evaluation through a JSON store stamped with a
-cost-model fingerprint, so editing the cost model invalidates stale
-stores), and the whole subsystem is scriptable from the shell via
+pool) and persist (:meth:`CostCache.open` attaches a sqlite store that
+every evaluation is written through, stamped with a cost-model
+fingerprint, so editing the cost model invalidates stale stores), and
+the whole subsystem is scriptable from the shell via
 ``python -m repro tune``.
 
 >>> from repro.workloads import Workload
@@ -38,7 +38,7 @@ from repro.tuner.autotune import (
 from repro.tuner.cache import CacheStats, CostCache, costmodel_fingerprint
 from repro.tuner.grid import GridPlan, tune_grid
 from repro.tuner.ircache import ScheduleIRCache
-from repro.tuner.store import SqliteCostStore, detect_backend
+from repro.tuner.store import SqliteCostStore
 from repro.tuner.telemetry import SweepTelemetry
 
 __all__ = [
@@ -54,5 +54,4 @@ __all__ = [
     "ScheduleIRCache",
     "SqliteCostStore",
     "SweepTelemetry",
-    "detect_backend",
 ]

@@ -631,9 +631,9 @@ def autotune(
     cache:
         :class:`CostCache` to memoize evaluations in (default: a fresh
         cache private to this sweep).  Identical candidate tuples are
-        never re-simulated; pass the same cache to later sweeps, or
-        pre-load a persisted store with :meth:`CostCache.load`, to reuse
-        evaluations across sweeps and runs.
+        never re-simulated; pass the same cache to later sweeps, or one
+        attached to a persisted store with :meth:`CostCache.open`, to
+        reuse evaluations across sweeps and runs.
     include_infeasible:
         Keep infeasible candidates (with reasons) at the tail of the
         returned list.
@@ -811,8 +811,8 @@ def autotune(
                 incremental=incremental,
             )
             with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                for worker_cache in pool.map(run, chunks):
-                    remote.update(worker_cache.entries())
+                for records in pool.map(run, chunks):
+                    remote.update(records)
 
     best_tps = 0.0
     t_eval = time.perf_counter()

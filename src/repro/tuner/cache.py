@@ -9,40 +9,27 @@ discrete-event simulator.
 
 The cache is a plain dict keyed on that tuple; entries are the raw
 evaluation records (simulated metrics or the build-failure reason), so a
-hit reproduces the cold result exactly.  Two extensions make it a
-subsystem rather than a dict:
-
-- **Persistence** (:meth:`CostCache.save` / :meth:`CostCache.load` /
-  :meth:`CostCache.open` / :meth:`CostCache.from_file`): the cache
-  persists to one of two backends, selected by path suffix or an
-  explicit ``backend=`` (:func:`repro.tuner.store.detect_backend`) --
-  an eagerly-loaded JSON file, or a lazily-queried sqlite store
-  (:class:`repro.tuner.store.SqliteCostStore`: indexed lookup, WAL-mode
-  concurrent writers, 100k+ entries) that serves the planner service.
-  Candidate keys are stable nested tuples of primitives (see
-  :func:`repro.schedules.registry.workload_cache_key`), which round-trip
-  through JSON lists losslessly on either backend.  Stores are stamped
-  with a cost-model source fingerprint (:func:`costmodel_fingerprint`);
-  loading a store written by a different cost model warns and discards
-  it instead of serving stale records.
-- **Merging** (:meth:`CostCache.merge`): adopt another cache's entries,
-  which is how :func:`repro.tuner.autotune` folds its process-pool
-  workers' per-worker caches back into the caller's cache on join.
+hit reproduces the cold result exactly.  :meth:`CostCache.open` makes it
+**persistent**: it attaches a :class:`repro.tuner.store.SqliteCostStore`
+(indexed lazy lookup, WAL-mode concurrent writers, 100k+ entries) that
+serves lookup misses and receives every cold evaluation write-through,
+so repeated CLI sweeps, concurrent processes and the planner service
+share one store.  Candidate keys are stable nested tuples of primitives
+(see :func:`repro.schedules.registry.workload_cache_key`).  Stores are
+stamped with a cost-model source fingerprint
+(:func:`costmodel_fingerprint`); opening a store written by a different
+cost model warns and clears it instead of serving stale records.
 
 :class:`CacheStats` distinguishes *memory* hits (entries evaluated or
-merged in this process) from *disk* hits (entries loaded from a
-persisted store), so a sweep can assert "zero cold evaluations" after a
-reload.
+adopted in this process) from *disk* hits (entries read off the attached
+store), so a sweep can assert "zero cold evaluations" after a reopen.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import secrets
 import threading
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
 
@@ -50,10 +37,6 @@ if TYPE_CHECKING:  # repro.tuner.store imports this module; avoid the cycle
     from repro.tuner.store import SqliteCostStore
 
 __all__ = ["CacheStats", "CostCache", "costmodel_fingerprint"]
-
-#: On-disk format marker; bump the version on incompatible changes.
-_FORMAT = "repro-costcache"
-_VERSION = 1
 
 _fingerprint: str | None = None
 
@@ -71,8 +54,7 @@ def costmodel_fingerprint() -> str:
     (:mod:`repro.workloads`: ``Workload.costs`` and ``static_memory``).
     Persisted stores are stamped with this fingerprint so that editing
     any of those sources invalidates old stores -- a changed cost model
-    triggers re-evaluation instead of silently serving stale disk hits
-    (ROADMAP "cross-run cache invalidation").
+    triggers re-evaluation instead of silently serving stale disk hits.
 
     The hash is over the source files' bytes, so it is identical across
     processes and hosts running the same code, and memoized per process
@@ -132,8 +114,8 @@ class CacheStats:
     """Hit/miss counters of one :class:`CostCache`.
 
     ``hits`` counts lookups served from entries created in-process
-    (evaluated, adopted or merged); ``disk_hits`` counts lookups served
-    from entries loaded off a persisted store.  ``misses`` counts cold
+    (evaluated or adopted); ``disk_hits`` counts lookups served from
+    entries read off the attached store.  ``misses`` counts cold
     evaluations.  ``pruned`` counts candidates the auto-tuner's
     admissible lower bound skipped without simulating (they never touch
     the cache, so they appear in no other counter).
@@ -160,13 +142,6 @@ class CacheStats:
         disk = f" ({self.disk_hits} from disk)" if self.disk_hits else ""
         pruned = f" / {self.pruned} pruned" if self.pruned else ""
         return f"{self.total_hits} hits{disk} / {self.misses} misses{pruned}"
-
-
-def _freeze(value: Any) -> Any:
-    """Recursively turn JSON lists back into the tuples keys are made of."""
-    if isinstance(value, list):
-        return tuple(_freeze(v) for v in value)
-    return value
 
 
 @dataclass
@@ -196,27 +171,16 @@ class CostCache:
     stats: CacheStats = field(default_factory=CacheStats)
     #: Keys whose entries came off a persisted store (for stats only).
     _disk_keys: set[Hashable] = field(default_factory=set)  # guarded-by: _lock
-    #: Keys in ``_data`` not known to be in ``store`` (adopted, merged,
-    #: JSON-loaded, held before the store was attached, or evaluated and
-    #: not yet written through); the only keys :meth:`__len__` has to
-    #: probe the store for, and the only ones :meth:`save` writes to it.
+    #: Keys in ``_data`` not known to be in ``store`` (adopted, held
+    #: before the store was attached, or evaluated and not yet written
+    #: through); the only keys :meth:`__len__` has to probe the store
+    #: for, and the only ones :meth:`save` writes to it.
     _unstored: set[Hashable] = field(default_factory=set)  # guarded-by: _lock
-    #: Lazy on-disk backend; None for a purely in-memory (or JSON) cache.
+    #: Lazy on-disk store; None for a purely in-memory cache.
     store: "SqliteCostStore | None" = None
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
-
-    def __getstate__(self) -> dict[str, Any]:
-        # Worker processes return their local cache across the pool;
-        # locks do not pickle, so the receiving side gets a fresh one.
-        state = dict(self.__dict__)
-        state.pop("_lock", None)
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     def get_or_eval(self, key: Hashable, evaluate: Callable[[], Any]) -> Any:
         """Return the cached value for ``key``, evaluating on first use."""
@@ -301,34 +265,6 @@ class CostCache:
             self._data[key] = value
             self._unstored.add(key)
 
-    def _snapshot(self) -> tuple[dict[Hashable, Any], set[Hashable]]:
-        """Consistent copy of the in-memory layer and its disk-key set."""
-        with self._lock:
-            return dict(self._data), set(self._disk_keys)
-
-    def merge(self, other: "CostCache") -> int:
-        """Adopt ``other``'s entries this cache lacks; returns the count.
-
-        Existing entries win (both caches evaluated the same
-        deterministic function, so the records agree; keeping ours
-        preserves this cache's disk-origin bookkeeping).  Disk-origin
-        bookkeeping *carries over* for adopted entries: an entry that
-        came off a persisted store in ``other`` (e.g. a per-worker cache
-        that pre-loaded a shard) keeps counting as a disk hit here, so
-        the memory/disk stats split stays honest across merges.
-        """
-        data, disk_keys = other._snapshot()
-        added = 0
-        with self._lock:
-            for key, value in data.items():
-                if key not in self._data:
-                    self._data[key] = value
-                    self._unstored.add(key)
-                    if key in disk_keys:
-                        self._disk_keys.add(key)
-                    added += 1
-        return added
-
     def entries(self) -> list[tuple[Hashable, Any]]:
         """``(key, record)`` pairs as a point-in-time snapshot list."""
         with self._lock:
@@ -336,178 +272,39 @@ class CostCache:
 
     # -- persistence ---------------------------------------------------------
 
-    def save(self, path: str | os.PathLike, backend: str | None = None) -> int:
-        """Persist every in-memory entry to ``path``; returns a count.
+    def save(self) -> int | None:
+        """Flush to the attached store the entries it may lack.
 
-        The backend follows the path suffix unless ``backend`` says
-        otherwise (:func:`repro.tuner.store.detect_backend`).  On the
-        sqlite backend the entries are upserted into the store (created
-        if missing) in one transaction and the return value is the
-        store's total entry count; when ``path`` is the attached store,
-        only the entries it may lack (``_unstored``) are upserted.  On
-        the JSON backend the whole store is rewritten and the return
-        value is this cache's entry count.
-        Missing parent directories are created either way, so saving to
-        ``new/dir/store.json`` works instead of dying inside
-        ``mkstemp`` with a raw :class:`FileNotFoundError`.
-
-        The JSON write goes through a uniquely-named temp file +
-        rename, so a crash mid-save never truncates an existing store
-        and concurrent writers to the same path cannot interleave -- the
-        last complete save wins atomically.  The temp file is created
-        with mode ``0o666`` and the kernel applies the process umask to
-        it like any ordinary file; no ``os.umask`` probe, which would
-        mutate process-global state and race under threads (exactly the
-        threaded planner-service case).
+        Evaluations are written through as they happen and fetched
+        entries came off the store, so only the ``_unstored`` keys are
+        upserted, in one transaction.  Returns the store's entry count,
+        or None when no store is attached.
         """
-        path = os.fspath(path)
-        from repro.tuner.store import SqliteCostStore, detect_backend
-
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        if detect_backend(path, backend) == "sqlite":
-            store = self.store
-            if store is not None and os.path.abspath(
-                store.path
-            ) == os.path.abspath(path):
-                # Fetched and written-through entries are there already.
-                with self._lock:
-                    items = [(key, self._data[key]) for key in self._unstored]
-                if items:
-                    store.put_many(iter(items))
-                    with self._lock:
-                        self._unstored.difference_update(key for key, _ in items)
-                return len(store)
-            store = SqliteCostStore(path)
-            store.put_many(iter(self.entries()))
-            return len(store)
-        items = self.entries()  # snapshot; the file I/O below runs unlocked
-        payload = {
-            "format": _FORMAT,
-            "version": _VERSION,
-            "costmodel": costmodel_fingerprint(),
-            "entries": [[key, value] for key, value in items],
-        }
-        base = os.path.basename(path)
-        for _ in range(64):
-            tmp = os.path.join(
-                parent or ".", f"{base}.{secrets.token_hex(8)}.tmp"
-            )
-            try:
-                fd = os.open(
-                    tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666
-                )
-            except FileExistsError:  # pragma: no cover - 64-bit collision
-                continue
-            break
-        else:  # pragma: no cover - practically unreachable
-            raise RuntimeError(f"could not create a temp file next to {path!r}")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, separators=(",", ":"))
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-        return len(items)
-
-    def load(self, path: str | os.PathLike, backend: str | None = None) -> int:
-        """Make the entries persisted at ``path`` available; returns a count.
-
-        On the sqlite backend (path suffix or explicit ``backend``) the
-        store is *attached*, not read: lookups fall through to indexed
-        queries lazily, and the return value is the store's entry count.
-        On the JSON backend every entry is merged into memory and the
-        count of newly-added entries is returned.
-
-        Entries already present in memory are kept (and stay counted as
-        memory hits); loaded/attached ones count as disk hits when
-        looked up.  Raises :class:`ValueError` on a file that is not a
-        cost cache store, so a typo'd path fails loudly instead of
-        silently starting cold, and :class:`FileNotFoundError` when
-        there is no file at all.
-
-        A store whose cost-model fingerprint (see
-        :func:`costmodel_fingerprint`) does not match the running code
-        -- including stores from before stamping existed -- is *stale*:
-        its records were computed by a different cost model, so serving
-        them would silently skew every sweep.  Loading one warns and
-        discards it (returns 0); the next :meth:`save` re-stamps the
-        path with freshly-evaluated entries.
-        """
-        from repro.tuner.store import (
-            SqliteCostStore,
-            detect_backend,
-            is_sqlite_file,
-        )
-
-        if detect_backend(path, backend) == "sqlite":
-            self.attach_store(SqliteCostStore(path, create=False))
-            return len(self.store)
-        if is_sqlite_file(path):
-            raise ValueError(
-                f"{os.fspath(path)!r} is a sqlite cost cache store; load "
-                "it with backend='sqlite' (or give it a .sqlite suffix)"
-            )
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != _FORMAT
-        ):
-            raise ValueError(f"{os.fspath(path)!r} is not a cost cache store")
-        if payload.get("version") != _VERSION:
-            raise ValueError(
-                f"{os.fspath(path)!r}: unsupported cost cache version "
-                f"{payload.get('version')!r} (expected {_VERSION})"
-            )
-        stamped = payload.get("costmodel")
-        current = costmodel_fingerprint()
-        if stamped != current:
-            warnings.warn(
-                f"{os.fspath(path)!r}: cost cache stamped with cost-model "
-                f"fingerprint {stamped!r} but the running code is {current!r};"
-                " discarding the store (its records were computed by a"
-                " different cost model and will be re-evaluated)",
-                stacklevel=2,
-            )
-            return 0
-        added = 0
+        store = self.store
+        if store is None:
+            return None
         with self._lock:
-            for raw_key, value in payload["entries"]:
-                key = _freeze(raw_key)
-                if key not in self._data:
-                    self._data[key] = value
-                    self._disk_keys.add(key)
-                    self._unstored.add(key)
-                    added += 1
-        return added
+            items = [(key, self._data[key]) for key in self._unstored]
+        if items:
+            store.put_many(iter(items))
+            with self._lock:
+                self._unstored.difference_update(key for key, _ in items)
+        return len(store)
 
     @classmethod
-    def from_file(cls, path: str | os.PathLike, backend: str | None = None) -> "CostCache":
-        """A fresh cache pre-populated from a persisted store."""
-        cache = cls()
-        cache.load(path, backend=backend)
-        return cache
+    def open(cls, path: str | os.PathLike) -> "CostCache":
+        """A cache attached to the sqlite store at ``path``.
 
-    @classmethod
-    def open(cls, path: str | os.PathLike, backend: str | None = None) -> "CostCache":
-        """A cache bound to the store at ``path``, created when missing.
-
-        The create-if-missing front door the CLI and the planner service
-        use: a sqlite path attaches a (possibly fresh)
-        :class:`~repro.tuner.store.SqliteCostStore` for lazy lookup and
-        write-through; a JSON path loads the file when it exists and
-        otherwise starts empty, to be written by the next :meth:`save`.
+        The front door of ``repro tune --cache`` and ``repro serve
+        --cache``.  The store (and its parent directories) is created
+        when missing, whatever the path's suffix; a file that is not a
+        cost cache store raises :class:`ValueError` and is left as it
+        was.
         """
-        from repro.tuner.store import SqliteCostStore, detect_backend
+        from repro.tuner.store import SqliteCostStore
 
         cache = cls()
-        if detect_backend(path, backend) == "sqlite":
-            cache.attach_store(SqliteCostStore(path, create=True))
-        elif os.path.exists(path):
-            cache.load(path, backend="json")
+        cache.attach_store(SqliteCostStore(path))
         return cache
 
     def attach_store(self, store: "SqliteCostStore") -> None:

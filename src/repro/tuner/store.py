@@ -1,39 +1,33 @@
-"""Sqlite-backed cost-cache store: lazy, indexed, concurrent-writer safe.
+"""Sqlite cost-cache store: lazy, indexed, concurrent-writer safe.
 
-The JSON store (:meth:`repro.tuner.cache.CostCache.save`) is eager: every
-entry is parsed into memory on load and the whole store is rewritten on
-save.  That is fine for a few hundred sweep records and wrong for the
-planner service, where one long-running process answers plan queries
-from a cache that grows past 100k entries while background sweeps and
-out-of-process tuners keep appending.  :class:`SqliteCostStore` is the
-serving-side backend:
+:class:`SqliteCostStore` is the one persisted form of a
+:class:`repro.tuner.cache.CostCache`.  It serves the planner service,
+where one long-running process answers plan queries from a cache that
+grows past 100k entries while background sweeps and out-of-process
+tuners keep appending, and it carries a CLI sweep's evaluations from one
+run to the next:
 
 - **Lazy, indexed lookup** -- entries stay on disk; a cache miss costs
   one point query against the primary-key index, not a full-store parse,
   and a whole sweep's candidates are read in one batched query
   (:meth:`SqliteCostStore.get_many`).
 - **Concurrent writers** -- WAL journal mode plus a generous busy
-  timeout let several processes (CLI sweeps, service workers, the
-  migrate verb) write the same store without corrupting it; records are
-  deterministic in their key, so last-writer-wins is conflict-free.
-- **Fingerprint stamping** -- like the JSON store, a ``meta`` table
-  carries the cost-model source fingerprint
-  (:func:`repro.tuner.cache.costmodel_fingerprint`); opening a store
-  stamped by different code warns and clears it instead of serving
-  records a cost-model edit invalidated.
+  timeout let several processes (CLI sweeps, service workers) write the
+  same store without corrupting it; records are deterministic in their
+  key, so last-writer-wins is conflict-free.
+- **Fingerprint stamping** -- a ``meta`` table carries the cost-model
+  source fingerprint (:func:`repro.tuner.cache.costmodel_fingerprint`);
+  opening a store stamped by different code warns and clears it instead
+  of serving records a cost-model edit invalidated.
 
-Backend selection is by path suffix (:func:`detect_backend`):
-``.sqlite`` / ``.sqlite3`` / ``.db`` mean sqlite, anything else means
-the JSON store; an explicit ``backend=`` (the CLI's ``--backend``)
-overrides the suffix.  :meth:`CostCache.open
-<repro.tuner.cache.CostCache.open>` is the front door that wires either
-backend into a cache.
+:meth:`CostCache.open <repro.tuner.cache.CostCache.open>` is the front
+door that wires a store into a cache, whatever the path's suffix.  A
+file that is not a cost cache store is refused with a
+:class:`ValueError` and left as it was.
 
 Keys are the tuner's canonical nested primitive tuples
 (:func:`repro.schedules.registry.workload_cache_key` products); they
-serialise to canonical JSON text for the ``TEXT PRIMARY KEY`` column and
-deserialise through the same list->tuple freeze the JSON store uses, so
-the two backends round-trip identical key/record pairs.
+serialise to canonical JSON text for the ``TEXT PRIMARY KEY`` column.
 """
 
 from __future__ import annotations
@@ -46,68 +40,22 @@ import warnings
 import weakref
 from typing import Any, Hashable, Iterable, Iterator
 
-from repro.tuner.cache import _freeze, costmodel_fingerprint
+from repro.tuner.cache import costmodel_fingerprint
 
-__all__ = [
-    "BACKENDS",
-    "SQLITE_SUFFIXES",
-    "SqliteCostStore",
-    "detect_backend",
-]
-
-#: Path suffixes that select the sqlite backend.
-SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
-
-#: Cost-cache store backends, in CLI ``--backend`` choice order.
-BACKENDS = ("json", "sqlite")
+__all__ = ["SqliteCostStore"]
 
 #: ``meta`` table format marker; bump the version on incompatible changes.
 _FORMAT = "repro-costcache-sqlite"
 _VERSION = 1
-
-#: First bytes of every sqlite database file.
-_SQLITE_MAGIC = b"SQLite format 3\x00"
 
 #: Keys per ``IN (...)`` query in :meth:`SqliteCostStore.get_many`,
 #: below sqlite's historical 999 bound-parameter limit.
 _GET_MANY_CHUNK = 500
 
 
-def detect_backend(path: str | os.PathLike, backend: str | None = None) -> str:
-    """Resolve the store backend for ``path``: explicit choice or suffix.
-
-    ``backend`` (when given) must name a member of :data:`BACKENDS` and
-    wins over the suffix -- the CLI's ``--backend`` flag.  Otherwise a
-    :data:`SQLITE_SUFFIXES` suffix selects sqlite and anything else the
-    JSON store, so ``--cache sweep.sqlite`` alone switches backends.
-    """
-    if backend is not None:
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown cost cache backend {backend!r}; "
-                f"expected one of {list(BACKENDS)}"
-            )
-        return backend
-    ext = os.path.splitext(os.fspath(path))[1].lower()
-    return "sqlite" if ext in SQLITE_SUFFIXES else "json"
-
-
-def is_sqlite_file(path: str | os.PathLike) -> bool:
-    """Whether the file at ``path`` starts with the sqlite magic bytes."""
-    try:
-        with open(path, "rb") as fh:
-            return fh.read(len(_SQLITE_MAGIC)) == _SQLITE_MAGIC
-    except OSError:
-        return False
-
-
 def _encode_key(key: Hashable) -> str:
     """Canonical JSON text of a nested primitive-tuple candidate key."""
     return json.dumps(key, separators=(",", ":"))
-
-
-def _decode_key(text: str) -> Hashable:
-    return _freeze(json.loads(text))
 
 
 class SqliteCostStore:
@@ -133,14 +81,10 @@ class SqliteCostStore:
     reconnect lazily instead of using a closed handle.
     """
 
-    def __init__(self, path: str | os.PathLike, create: bool = True) -> None:
+    def __init__(self, path: str | os.PathLike) -> None:
         path = os.fspath(path)
-        if not create and not os.path.exists(path):
-            raise FileNotFoundError(
-                f"sqlite cost cache store {path!r} does not exist"
-            )
         parent = os.path.dirname(path)
-        if create and parent:
+        if parent:
             os.makedirs(parent, exist_ok=True)
         self.path = path
         self._local = threading.local()
@@ -148,7 +92,12 @@ class SqliteCostStore:
         #: (owner-thread weakref, connection) pairs, one per live thread.
         self._all_conns: list = []  # guarded-by: _conns_lock
         self._gen = 0  # guarded-by: _conns_lock
-        self._init_schema()
+        try:
+            self._init_schema()
+        except BaseException:
+            # A refused file must not stay open until the next GC.
+            self.close()
+            raise
 
     # -- connections -----------------------------------------------------
 
@@ -164,8 +113,12 @@ class SqliteCostStore:
         # still never *uses* another thread's connection.  The pragmas
         # run before registration so no lock is held across sqlite I/O.
         conn = sqlite3.connect(self.path, timeout=30.0, check_same_thread=False)
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+        except sqlite3.Error:
+            conn.close()  # not registered yet, so close() would miss it
+            raise
         owner = weakref.ref(threading.current_thread())
         with self._conns_lock:
             gen = self._gen
@@ -233,9 +186,7 @@ class SqliteCostStore:
                 )
         except sqlite3.DatabaseError as err:
             raise ValueError(
-                f"{self.path!r} is not a sqlite cost cache store ({err}); "
-                "a JSON store keeps the .json suffix (or pass "
-                "backend='json')"
+                f"{self.path!r} is not a sqlite cost cache store ({err})"
             ) from None
         meta = dict(conn.execute("SELECT key, value FROM meta"))
         current = costmodel_fingerprint()
@@ -262,9 +213,8 @@ class SqliteCostStore:
             )
         stamped = meta.get("costmodel")
         if stamped != current:
-            # Same contract as the JSON store: records computed by a
-            # different cost model are stale.  Clearing + restamping (vs
-            # the JSON load's discard) keeps the file usable in place --
+            # Records computed by a different cost model are stale.
+            # Clearing + restamping keeps the file usable in place --
             # every concurrent writer runs the same code, so they agree
             # on the new stamp.
             warnings.warn(
@@ -339,13 +289,6 @@ class SqliteCostStore:
                     rows,
                 )
         return len(rows)
-
-    def items(self) -> Iterator[tuple[Hashable, Any]]:
-        """Iterate every ``(key, record)`` pair in stable key-text order."""
-        for key_text, value_text in self._conn.execute(
-            "SELECT key, value FROM entries ORDER BY key"
-        ):
-            yield _decode_key(key_text), json.loads(value_text)
 
     def __contains__(self, key: Hashable) -> bool:
         row = self._conn.execute(

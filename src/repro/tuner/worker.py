@@ -3,13 +3,14 @@
 :func:`evaluate_chunk` is the unit of work :func:`repro.tuner.autotune`
 ships to a :class:`concurrent.futures.ProcessPoolExecutor`: it cold-
 evaluates a chunk of candidates into a fresh per-worker
-:class:`~repro.tuner.cache.CostCache` and returns that cache, which the
-parent merges into the caller's cache on join.  Everything crossing the
-process boundary -- the workload (plain dataclasses), the candidates
-(frozen dataclasses) and the returned cache (dict of primitive-tuple
-keys to primitive records) -- pickles cleanly, and candidate keys are
-process-stable (:func:`repro.schedules.registry.workload_cache_key`),
-so a key computed in a worker is the same key the parent looks up.
+:class:`~repro.tuner.cache.CostCache` and returns its records, which
+the parent feeds into the caller's cache on join.  Everything crossing
+the process boundary -- the workload (plain dataclasses), the
+candidates (frozen dataclasses) and the returned records (a dict of
+primitive-tuple keys to primitive records) -- pickles cleanly, and
+candidate keys are process-stable
+(:func:`repro.schedules.registry.workload_cache_key`), so a key
+computed in a worker is the same key the parent looks up.
 
 The module must stay importable without side effects: under the
 ``spawn`` start method each worker re-imports it (and lazily re-imports
@@ -18,7 +19,7 @@ the schedule registry's builders on first lookup).
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Hashable, Sequence
 
 from repro.tuner.cache import CostCache
 
@@ -30,12 +31,12 @@ def evaluate_chunk(
     memory_cap_bytes: float,
     candidates: Sequence[Any],
     incremental: bool = True,
-) -> CostCache:
-    """Cold-evaluate ``candidates`` into a fresh per-worker cache.
+) -> dict[Hashable, Any]:
+    """Cold-evaluate ``candidates``; returns their records by cache key.
 
-    Returns the local :class:`CostCache` so the parent can
-    :meth:`~CostCache.merge` it; its stats are the worker's own
-    bookkeeping (all misses: the parent only ships keys it did not have).
+    The parent only ships keys its cache does not hold, and replays the
+    returned records through its own cache, so hit/miss accounting
+    happens there.
 
     Each worker owns a private :class:`~repro.tuner.ircache.ScheduleIRCache`
     (built IR and simulation references do not pickle across the pool
@@ -75,4 +76,4 @@ def evaluate_chunk(
                 _candidate_key(workload, cand, memory_cap_bytes, wkey),
                 lambda c=cand: _cold_evaluate(workload, c, memory_cap_bytes, ctx),
             )
-    return local
+    return dict(local.entries())

@@ -1,9 +1,12 @@
-"""``repro cache info|migrate``, ``tune --backend`` and ``repro serve``."""
+"""``repro cache info``, ``tune --cache`` and ``repro serve`` over sqlite stores."""
 
+import json
 import sqlite3
 
+import pytest
+
 from repro.cli import main
-from repro.tuner import CostCache, SqliteCostStore
+from repro.tuner import CostCache, costmodel_fingerprint
 
 
 def run(capsys, *argv):
@@ -12,37 +15,40 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def _seed_json(path, n=3):
-    cache = CostCache()
+def _seed(path, n=3):
+    cache = CostCache.open(path)
     for i in range(n):
         key = (("model", "7B"), 1.0, "helix", "none", i, ())
         cache.adopt(key, {"error": None, "makespan": float(i),
                           "peak_memory_bytes": 2.0 * i, "bubble_fraction": 0.1})
-    cache.save(path)
-    return cache
+    cache.save()
+    cache.close()
+
+
+def _json_cache(path):
+    """A JSON cost cache as earlier versions wrote it."""
+    path.write_text(json.dumps({
+        "format": "repro-costcache",
+        "version": 1,
+        "costmodel": costmodel_fingerprint(),
+        "entries": [[[["model", "7B"], 1.0, "helix", "none", 0, []],
+                     {"error": None, "makespan": 0.0}]],
+    }))
+    return path.read_bytes()
 
 
 class TestCacheInfo:
-    def test_json_store(self, capsys, tmp_path):
-        path = tmp_path / "sweep.json"
-        _seed_json(path)
-        code, out, _ = run(capsys, "cache", "info", str(path))
-        assert code == 0
-        assert "backend:     json" in out
-        assert "entries:     3" in out
-        assert "fingerprint: current" in out
-
     def test_sqlite_store(self, capsys, tmp_path):
         path = tmp_path / "plans.sqlite"
-        cache = _seed_json(tmp_path / "seed.json")
-        cache.save(path)
+        _seed(path)
         code, out, _ = run(capsys, "cache", "info", str(path))
         assert code == 0
         assert "backend:     sqlite" in out and "entries:     3" in out
+        assert "fingerprint: current" in out
 
     def test_stale_store_exits_nonzero(self, capsys, tmp_path):
         path = tmp_path / "plans.sqlite"
-        _seed_json(tmp_path / "seed.json").save(path)
+        _seed(path)
         conn = sqlite3.connect(path)
         conn.execute(
             "UPDATE meta SET value='0123456789abcdef' WHERE key='costmodel'"
@@ -63,41 +69,16 @@ class TestCacheInfo:
         assert code == 1
         assert "error:" in err
 
-
-class TestCacheMigrate:
-    def test_json_to_sqlite_preserves_every_entry(self, capsys, tmp_path):
-        src = tmp_path / "sweep.json"
-        seeded = _seed_json(src, n=5)
-        dst = tmp_path / "plans.sqlite"
-        code, out, _ = run(capsys, "cache", "migrate", str(src), str(dst))
-        assert code == 0
-        assert "loaded 5 entries" in out and "wrote 5 entries" in out
-
-        migrated = SqliteCostStore(dst, create=False)
-        assert dict(migrated.items()) == dict(seeded.entries())
-
-    def test_sqlite_to_json_round_trips(self, capsys, tmp_path):
-        src = tmp_path / "plans.sqlite"
-        seeded = _seed_json(tmp_path / "seed.json", n=4)
-        seeded.save(src)
-        dst = tmp_path / "back.json"
-        code, out, _ = run(capsys, "cache", "migrate", str(src), str(dst))
-        assert code == 0 and "wrote 4 entries" in out
-        assert dict(CostCache.from_file(dst).entries()) == dict(seeded.entries())
-
-    def test_explicit_backend_overrides_suffix(self, capsys, tmp_path):
-        src = tmp_path / "sweep.json"
-        _seed_json(src, n=2)
-        dst = tmp_path / "plans.data"  # no sqlite suffix
-        code, _, _ = run(
-            capsys, "cache", "migrate", str(src), str(dst),
-            "--dst-backend", "sqlite",
-        )
-        assert code == 0
-        assert len(SqliteCostStore(dst, create=False)) == 2
+    def test_json_file_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "sweep.json"
+        before = _json_cache(path)
+        code, _, err = run(capsys, "cache", "info", str(path))
+        assert code == 1
+        assert "not a sqlite cost cache store" in err
+        assert path.read_bytes() == before
 
 
-class TestTuneBackend:
+class TestTuneCache:
     def test_sqlite_cache_round_trip_serves_warm(self, capsys, tmp_path):
         path = str(tmp_path / "sweep.sqlite")
         code, out, _ = run(capsys, "tune", "--smoke", "--cache", path)
@@ -110,13 +91,41 @@ class TestTuneBackend:
         assert "/ 0 misses" in out
         assert "from disk" in out
 
-    def test_backend_flag_overrides_suffix(self, capsys, tmp_path):
+    def test_any_suffix_is_a_sqlite_store(self, capsys, tmp_path):
         path = str(tmp_path / "sweep.cache")
-        code, out, _ = run(
-            capsys, "tune", "--smoke", "--cache", path, "--backend", "sqlite"
-        )
+        code, out, _ = run(capsys, "tune", "--smoke", "--cache", path)
         assert code == 0
         assert "attached sqlite store" in out
+
+
+@pytest.mark.parametrize("verb", [
+    ("tune", "--smoke"),
+    ("serve", "--port", "0"),
+])
+def test_json_cache_is_refused_and_left_untouched(capsys, tmp_path, verb):
+    """A JSON cache is refused before any sweep or bind, byte for byte."""
+    path = tmp_path / "sweep.json"
+    before = _json_cache(path)
+    code, out, err = run(capsys, *verb, "--cache", str(path))
+    assert code == 1
+    assert f"error: {str(path)!r} is not a sqlite cost cache store" in err
+    assert "backend" not in err
+    assert "listening" not in out
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("tune", "--smoke", "--backend", "json"),
+    ("serve", "--backend", "sqlite"),
+    ("cache", "info", "plans.sqlite", "--backend", "sqlite"),
+    ("cache", "migrate", "sweep.json", "plans.sqlite"),
+])
+def test_backend_options_and_migrate_are_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 class TestServeParser:
@@ -133,7 +142,6 @@ class TestServeParser:
 
         args = _build_parser().parse_args(
             ["serve", "--host", "0.0.0.0", "--port", "0",
-             "--cache", "plans.sqlite", "--backend", "sqlite",
-             "--workers", "4"]
+             "--cache", "plans.sqlite", "--workers", "4"]
         )
-        assert args.port == 0 and args.backend == "sqlite"
+        assert args.port == 0 and args.cache == "plans.sqlite"

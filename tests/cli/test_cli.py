@@ -134,19 +134,17 @@ class TestTune:
         assert "rank" in out and "tokens_per_s" in out
 
     def test_persistent_cache_round_trip(self, capsys, tmp_path):
-        path = str(tmp_path / "cache.json")
+        path = str(tmp_path / "cache.sqlite")
         code, out, _ = run(capsys, "tune", "--smoke", "--cache", path)
         assert code == 0
         assert "saved" in out
         code, out, _ = run(capsys, "tune", "--smoke", "--cache", path)
         assert code == 0
-        assert "loaded" in out
+        assert "attached sqlite store" in out
         assert "0 misses" in out, "second sweep must be fully warm"
 
     def test_cache_in_missing_directory_is_created(self, capsys, tmp_path):
-        # Save used to die with a raw mkstemp FileNotFoundError here;
-        # now the parent directories are created on the way out.
-        path = tmp_path / "new-dir" / "sweep.json"
+        path = tmp_path / "new-dir" / "sweep.sqlite"
         code, out, _ = run(capsys, "tune", "--smoke", "--cache", str(path))
         assert code == 0
         assert f"cache: saved 1 entries to {path}" in out
@@ -174,6 +172,25 @@ class TestTune:
         code, out, _ = run(capsys, "tune", "--smoke", "--memory-cap-gib", "0")
         assert code == 1
         assert "no feasible plan" in out
+
+    @pytest.mark.parametrize("argv,option", [
+        (("tune", "--smoke", "--memory-cap-gib", "nan"), "--memory-cap-gib"),
+        (("tune", "--smoke", "--memory-cap-gib", "inf"), "--memory-cap-gib"),
+        (("tune", "--smoke", "--memory-cap-gib", "-1"), "--memory-cap-gib"),
+        (("tune", "--smoke", "--top", "-1"), "--top"),
+        (("tune", "--smoke", "--top", "0"), "--top"),
+        (("tune", "--smoke", "--micro-batch", "0"), "--micro-batch"),
+        (("tune", "--smoke", "-m", "0"), "-m/--num-micro-batches"),
+        (("tune", "--smoke", "-m", "-4"), "-m/--num-micro-batches"),
+    ])
+    def test_values_the_plan_endpoint_rejects_are_usage_errors(
+        self, capsys, argv, option
+    ):
+        """tune takes a cap and counts only as ``POST /v1/plan`` does."""
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert f"error: argument {option}: expected" in capsys.readouterr().err
 
     def test_mistyped_option_value_fails_cleanly(self, capsys):
         """-o max_outstanding=none parses as the string 'none'; the
@@ -222,7 +239,7 @@ class TestTuneGrid:
         assert "incompatible with a workload grid" in err
 
     def test_grid_cache_round_trip(self, capsys, tmp_path):
-        path = str(tmp_path / "grid-cache.json")
+        path = str(tmp_path / "grid-cache.sqlite")
         code, out, _ = run(capsys, *self.GRID, "--cache", path)
         assert code == 0
         assert "saved" in out

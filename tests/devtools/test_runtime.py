@@ -167,9 +167,7 @@ class TestServiceCrossCheck:
     def observed(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("crosscheck") / "cache.sqlite"
         cache = CostCache.open(path)
-        service = PlannerService(
-            cache, save_path=str(path), save_backend="sqlite"
-        )
+        service = PlannerService(cache)
         rec = LockOrderRecorder()
         for obj in (service, service.telemetry, cache, cache.store):
             assert instrument(obj, rec)

@@ -130,6 +130,13 @@ class TestPlanEndpoint:
         _, stats = _get(server, "/v1/stats")
         assert stats["telemetry"]["errors"] == 2
 
+    def test_unknown_schedule_is_400_and_plans_nothing(self, server):
+        body = dict(_BODY, schedules=["no-such-schedule"])
+        code, answer = _error(server, "POST", "/v1/plan", body)
+        assert code == 400 and "no-such-schedule" in answer["error"]
+        _, stats = _get(server, "/v1/stats")
+        assert stats["telemetry"]["plans"] == 0
+
     def test_malformed_json_body_is_400(self, server):
         request = urllib.request.Request(
             _url(server, "/v1/plan"),

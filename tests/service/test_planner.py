@@ -63,6 +63,7 @@ class TestParsePlanRequest:
             {"memory_cap_gib": float("nan")},
             {"memory_cap_gib": float("inf")},
             {"schedules": []},
+            {"schedules": ["no-such-schedule"]},
             {"options": "yes"},
             {"prune": 1},
         ],
@@ -210,14 +211,19 @@ class TestSweeps:
         for budget in (float("nan"), 1.5, [1]):
             with pytest.raises(ValueError, match="budget_tokens"):
                 service.start_sweep({"budget_tokens": budget})
+        with pytest.raises(ValueError, match="no-such-schedule"):
+            service.start_sweep({"schedules": ["1f1b", "no-such-schedule"]})
         assert service.telemetry.as_dict()["sweeps_started"] == 0
 
-    def test_failed_sweep_is_recorded_not_raised(self):
-        service = PlannerService()
-        service.start_sweep(
-            {"seq_lens": ["8k"], "pipeline_sizes": [2],
-             "schedules": ["no-such-schedule"]}
+    def test_failed_sweep_is_recorded_not_raised(self, monkeypatch):
+        def failing_tune_grid(*args, **kwargs):
+            raise KeyError("unknown schedule 'no-such-schedule'")
+
+        monkeypatch.setattr(
+            "repro.service.planner.tune_grid", failing_tune_grid
         )
+        service = PlannerService()
+        service.start_sweep({"seq_lens": ["8k"], "pipeline_sizes": [2]})
         for _ in range(200):
             record = service.sweeps()[0]
             if record["state"] != "running":
@@ -236,7 +242,7 @@ class TestStats:
         assert stats["telemetry"]["plans"] == 1
         cache = stats["cache"]
         assert cache["misses"] > 0 and cache["entries"] == len(service.cache)
-        assert cache["backend"] == "memory/json"
+        assert cache["backend"] == "memory" and cache["path"] is None
         assert stats["sweeps"] == []
 
     def test_plan_answer_does_not_count_the_store(self, tmp_path, monkeypatch):
@@ -262,11 +268,3 @@ class TestStats:
         service = PlannerService(CostCache.open(path))
         assert service.stats()["cache"]["backend"] == "sqlite"
         assert service.stats()["cache"]["path"] == path
-
-    def test_save_cache_persists_json(self, tmp_path):
-        path = str(tmp_path / "store" / "plans.json")
-        service = PlannerService(save_path=path)
-        service.plan(_BODY)
-        saved = service.save_cache()
-        assert saved == len(service.cache)
-        assert len(CostCache.from_file(path)) == saved

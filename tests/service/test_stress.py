@@ -46,9 +46,7 @@ _SWEEP_BODY = {
 
 @pytest.fixture
 def service(tmp_path):
-    path = tmp_path / "stress.sqlite"
-    cache = CostCache.open(path)
-    svc = PlannerService(cache, save_path=str(path), save_backend="sqlite")
+    svc = PlannerService(CostCache.open(tmp_path / "stress.sqlite"))
     yield svc
     svc.close()
 
@@ -152,10 +150,7 @@ class TestStressStorm:
 
 class TestGracefulShutdown:
     def test_close_drains_sweeps_and_reports_save_count(self, tmp_path):
-        path = tmp_path / "drain.sqlite"
-        service = PlannerService(
-            CostCache.open(path), save_path=str(path), save_backend="sqlite"
-        )
+        service = PlannerService(CostCache.open(tmp_path / "drain.sqlite"))
         service.start_sweep(_SWEEP_BODY)
         saved = service.close()
         # The sweep thread was joined before the final save, so its
@@ -172,21 +167,25 @@ class TestGracefulShutdown:
             service.start_sweep(_SWEEP_BODY)
 
     def test_close_is_idempotent(self, tmp_path):
-        path = tmp_path / "idem.sqlite"
-        service = PlannerService(
-            CostCache.open(path), save_path=str(path), save_backend="sqlite"
-        )
+        service = PlannerService(CostCache.open(tmp_path / "idem.sqlite"))
         assert service.close() == service.close()
 
-    def test_close_without_save_path_returns_none(self):
+    def test_close_without_a_store_returns_none(self):
         service = PlannerService(CostCache())
         assert service.close() is None
 
+    def test_close_flushes_unstored_entries_to_the_store(self, tmp_path):
+        path = tmp_path / "flush.sqlite"
+        service = PlannerService(CostCache.open(path))
+        key = (("model", "7B"), 1.0, "1f1b", "none", 4, ())
+        service.cache.adopt(key, {"error": "adopted, not written through"})
+        assert service.close() == 1
+        assert CostCache.open(path).peek(key) == {
+            "error": "adopted, not written through"
+        }
+
     def test_close_closes_store_connections(self, tmp_path):
-        path = tmp_path / "fds.sqlite"
-        service = PlannerService(
-            CostCache.open(path), save_path=str(path), save_backend="sqlite"
-        )
+        service = PlannerService(CostCache.open(tmp_path / "fds.sqlite"))
         service.plan(_PLAN_BODIES[0])
         store = service.cache.store
         assert store._all_conns

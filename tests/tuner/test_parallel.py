@@ -9,7 +9,7 @@ sweep against a persisted cache performs zero cold evaluations
 import pytest
 
 from repro.experiments.common import Workload
-from repro.tuner import CostCache, autotune
+from repro.tuner import CostCache, SqliteCostStore, autotune
 from repro.tuner.autotune import _candidate_key, enumerate_candidates
 from repro.tuner.worker import evaluate_chunk
 
@@ -50,25 +50,26 @@ class TestParallelEquivalence:
         assert again == serial_plans
         assert serial_cache.stats.misses == before
 
-    def test_worker_chunk_merges_into_caller_cache(self, wl):
-        """The per-worker cache's keys are the caller's keys."""
+    def test_worker_chunk_records_use_the_caller_keys(self, wl):
+        """A worker returns one record per candidate, under the caller's key."""
         cap = float(wl.cluster.node.gpu.hbm_bytes)
         cands = enumerate_candidates(wl, schedules=["1f1b"])[:2]
-        worker_cache = evaluate_chunk(wl, cap, cands)
-        assert worker_cache.stats.misses == len(cands)
-        parent = CostCache()
-        assert parent.merge(worker_cache) == len(cands)
-        for cand in cands:
-            assert _candidate_key(wl, cand, cap) in parent
+        records = evaluate_chunk(wl, cap, cands)
+        assert set(records) == {_candidate_key(wl, cand, cap) for cand in cands}
+
+
+def _persist(cache, path):
+    """Write every entry of an in-memory cache to a fresh store at ``path``."""
+    SqliteCostStore(path).put_many(iter(cache.entries()))
 
 
 class TestPersistedSweep:
     def test_second_sweep_from_disk_is_all_hits(self, wl, serial, tmp_path):
         serial_plans, serial_cache = serial
-        path = tmp_path / "sweep.json"
-        serial_cache.save(path)
+        path = tmp_path / "sweep.sqlite"
+        _persist(serial_cache, path)
 
-        reloaded = CostCache.from_file(path)
+        reloaded = CostCache.open(path)
         plans = autotune(wl, cache=reloaded)
         assert plans == serial_plans
         assert reloaded.stats.misses == 0, "persisted sweep must be fully warm"
@@ -78,10 +79,10 @@ class TestPersistedSweep:
         self, wl, serial, tmp_path
     ):
         serial_plans, serial_cache = serial
-        path = tmp_path / "sweep.json"
-        serial_cache.save(path)
+        path = tmp_path / "sweep.sqlite"
+        _persist(serial_cache, path)
 
-        reloaded = CostCache.from_file(path)
+        reloaded = CostCache.open(path)
         plans = autotune(wl, cache=reloaded, workers=4)
         assert plans == serial_plans
         assert reloaded.stats.misses == 0

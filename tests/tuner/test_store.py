@@ -1,4 +1,4 @@
-"""SqliteCostStore: backend selection, lazy lookup, concurrent writers."""
+"""SqliteCostStore: lazy lookup, refusal, concurrent writers."""
 
 import json
 import multiprocessing
@@ -8,14 +8,7 @@ import threading
 
 import pytest
 
-from repro.tuner import (
-    CostCache,
-    SqliteCostStore,
-    autotune,
-    costmodel_fingerprint,
-    detect_backend,
-)
-from repro.tuner.store import is_sqlite_file
+from repro.tuner import CostCache, SqliteCostStore, autotune, costmodel_fingerprint
 from repro.workloads import Workload
 
 
@@ -28,25 +21,26 @@ def _record(i):
             "bubble_fraction": 0.1}
 
 
-class TestDetectBackend:
-    @pytest.mark.parametrize("path,expected", [
-        ("sweep.json", "json"),
-        ("sweep", "json"),
-        ("sweep.sqlite", "sqlite"),
-        ("sweep.SQLITE3", "sqlite"),
-        ("plans.db", "sqlite"),
-        ("dir.sqlite/sweep.json", "json"),
-    ])
-    def test_suffix_selects_backend(self, path, expected):
-        assert detect_backend(path) == expected
+def _is_sqlite_file(path):
+    with open(path, "rb") as fh:
+        return fh.read(16) == b"SQLite format 3\x00"
 
-    def test_explicit_backend_overrides_suffix(self):
-        assert detect_backend("sweep.json", "sqlite") == "sqlite"
-        assert detect_backend("sweep.sqlite", "json") == "json"
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown cost cache backend"):
-            detect_backend("sweep.json", "tape")
+@pytest.mark.parametrize("name", [
+    "sweep.json",
+    "sweep",
+    "sweep.sqlite",
+    "sweep.SQLITE3",
+    "plans.db",
+    "dir.sqlite/sweep.json",
+])
+def test_open_makes_a_sqlite_store_whatever_the_suffix(tmp_path, name):
+    path = tmp_path / name
+    cache = CostCache.open(path)
+    cache.get_or_eval(_key(0), lambda: _record(0))
+    cache.close()
+    assert _is_sqlite_file(path)
+    assert CostCache.open(path).peek(_key(0)) == _record(0)
 
 
 class TestStore:
@@ -57,7 +51,7 @@ class TestStore:
             store.put(_key(i), _record(i))
         assert len(store) == 5
 
-        reopened = SqliteCostStore(path, create=False)
+        reopened = SqliteCostStore(path)
         for i in range(5):
             # Keys must round trip as nested tuples, not JSON lists.
             assert _key(i) in reopened
@@ -65,10 +59,10 @@ class TestStore:
         assert _key(99) not in reopened
         assert reopened.get(_key(99)) is None
 
-    def test_put_many_and_items(self, tmp_path):
+    def test_put_many_counts_what_it_wrote(self, tmp_path):
         store = SqliteCostStore(tmp_path / "store.sqlite")
         assert store.put_many(iter((_key(i), _record(i)) for i in range(10))) == 10
-        entries = dict(store.items())
+        entries = store.get_many(_key(i) for i in range(10))
         assert entries == {_key(i): _record(i) for i in range(10)}
 
     def test_get_many_returns_found_keys_only(self, tmp_path):
@@ -90,7 +84,7 @@ class TestStore:
     def test_get_many_round_trips_like_get(self, tmp_path):
         path = tmp_path / "store.sqlite"
         SqliteCostStore(path).put_many((_key(i), _record(i)) for i in range(5))
-        reopened = SqliteCostStore(path, create=False)
+        reopened = SqliteCostStore(path)
         keys = [_key(i) for i in range(5)]
         assert reopened.get_many(keys) == {key: reopened.get(key) for key in keys}
 
@@ -101,20 +95,43 @@ class TestStore:
         assert len(store) == 1
         assert store.get(_key(0)) == _record(7)
 
-    def test_create_false_requires_existing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            SqliteCostStore(tmp_path / "nope.sqlite", create=False)
-
     def test_create_makes_parent_directories(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "store.sqlite"
         SqliteCostStore(path).put(_key(0), _record(0))
-        assert is_sqlite_file(path)
+        assert _is_sqlite_file(path)
 
     def test_non_sqlite_file_rejected_with_pointed_error(self, tmp_path):
         path = tmp_path / "actually.json"
         path.write_text(json.dumps({"format": "repro-costcache"}))
         with pytest.raises(ValueError, match="not a sqlite cost cache store"):
             SqliteCostStore(path)
+
+    @pytest.mark.parametrize("kind", ["json", "foreign-sqlite"])
+    def test_refused_open_closes_its_connections(
+        self, tmp_path, monkeypatch, kind
+    ):
+        path = tmp_path / "refused"
+        if kind == "json":
+            path.write_text(json.dumps({"format": "repro-costcache"}))
+        else:
+            conn = sqlite3.connect(path)
+            conn.execute("CREATE TABLE unrelated (x)")
+            conn.commit()
+            conn.close()
+        opened = []
+        connect = sqlite3.connect
+
+        def recording_connect(*args, **kwargs):
+            opened.append(connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(sqlite3, "connect", recording_connect)
+        with pytest.raises(ValueError):
+            SqliteCostStore(path)
+        assert opened
+        for conn in opened:
+            with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+                conn.execute("SELECT 1")
 
     def test_foreign_sqlite_database_rejected(self, tmp_path):
         path = tmp_path / "other.sqlite"
@@ -204,8 +221,8 @@ class TestCacheIntegration:
         path = tmp_path / "store.sqlite"
         cache = CostCache.open(path)
         cache.adopt(_key(0), _record(0))  # adopt() does not write through
-        assert cache.save(path) == 1
-        assert SqliteCostStore(path, create=False).get(_key(0)) == _record(0)
+        assert cache.save() == 1
+        assert SqliteCostStore(path).get(_key(0)) == _record(0)
 
     def test_save_to_attached_store_writes_only_unstored_rows(
         self, tmp_path, monkeypatch
@@ -224,7 +241,7 @@ class TestCacheIntegration:
             return put_many(store, iter(entries))
 
         monkeypatch.setattr(SqliteCostStore, "put_many", counting_put_many)
-        assert cache.save(path) == 2
+        assert cache.save() == 2
         assert written == []
 
         cache.adopt(_key(2), _record(2))  # adopt() does not write through
@@ -235,19 +252,20 @@ class TestCacheIntegration:
         monkeypatch.setattr(SqliteCostStore, "put", failing_put)
         with pytest.raises(sqlite3.OperationalError):
             cache.get_or_eval(_key(3), lambda: _record(3))
-        assert cache.save(path) == 4
+        assert cache.save() == 4
         assert sorted(written) == [_key(2), _key(3)]
-        assert dict(SqliteCostStore(path, create=False).items()) == {
+        assert SqliteCostStore(path).get_many(_key(i) for i in range(4)) == {
             _key(i): _record(i) for i in range(4)
         }
 
-    def test_save_json_cache_to_sqlite_path(self, tmp_path):
+    def test_save_flushes_entries_held_before_attach(self, tmp_path):
         cache = CostCache()
         for i in range(3):
             cache.adopt(_key(i), _record(i))
         path = tmp_path / "out.sqlite"
-        assert cache.save(path) == 3
-        assert dict(SqliteCostStore(path, create=False).items()) == {
+        cache.attach_store(SqliteCostStore(path))
+        assert cache.save() == 3
+        assert SqliteCostStore(path).get_many(_key(i) for i in range(3)) == {
             _key(i): _record(i) for i in range(3)
         }
 
@@ -256,16 +274,13 @@ class TestCacheIntegration:
     ):
         path = tmp_path / "store.sqlite"
         SqliteCostStore(path).put(_key(0), _record(0))
-        json_store, other = CostCache(), CostCache()
-        json_store.adopt(_key(3), _record(3))
-        json_store.save(tmp_path / "extra.json")
-        other.adopt(_key(4), _record(4))
-        cache = CostCache.open(path)
+        cache = CostCache()
+        cache.adopt(_key(2), _record(2))  # held before the store was attached
+        cache.attach_store(SqliteCostStore(path))
         cache.get_or_eval(_key(0), lambda: pytest.fail("on disk"))  # fetched
         cache.get_or_eval(_key(1), lambda: _record(1))  # written through
-        cache.adopt(_key(2), _record(2))  # memory only
-        cache.load(tmp_path / "extra.json")  # memory only
-        cache.merge(other)  # memory only
+        cache.adopt(_key(3), _record(3))  # memory only
+        cache.adopt(_key(4), _record(4))  # memory only
         assert len(cache) == 5
 
         # Written-through entries are in the store already: counting
@@ -274,8 +289,8 @@ class TestCacheIntegration:
             cache.get_or_eval(_key(i), lambda i=i: _record(i))
         probes = _count_calls(monkeypatch, "__contains__")
         assert len(cache) == 25
-        assert probes == {"__contains__": 3}  # adopted, loaded, merged
-        cache.save(path)  # flushes the memory-only entries into the store
+        assert probes == {"__contains__": 3}  # the three adopted keys
+        cache.save()  # flushes the memory-only entries into the store
         probes.clear()
         assert len(cache) == 25
         assert probes == {}
@@ -298,34 +313,8 @@ class TestCacheIntegration:
         cache = CostCache()
         for i in range(2, 5):  # _key(2) is in the store too
             cache.get_or_eval(_key(i), lambda i=i: _record(i))
-        cache.load(path)
+        cache.attach_store(SqliteCostStore(path))
         assert len(cache) == 5
-
-    def test_load_sqlite_file_with_json_suffix_is_pointed_at(self, tmp_path):
-        path = tmp_path / "mislabeled.json"
-        # Write a real sqlite store under a .json name.
-        store = SqliteCostStore(tmp_path / "real.sqlite")
-        store.put(_key(0), _record(0))
-        store.close()
-        (tmp_path / "real.sqlite").rename(path)
-        with pytest.raises(ValueError, match="backend='sqlite'"):
-            CostCache().load(path)
-        # The explicit backend override loads it fine.
-        cache = CostCache.from_file(path, backend="sqlite")
-        assert cache.peek(_key(0)) == _record(0)
-
-    def test_json_and_sqlite_backends_round_trip_identically(self, tmp_path):
-        cache = CostCache()
-        for i in range(20):
-            cache.get_or_eval(_key(i), lambda i=i: _record(i))
-        cache.save(tmp_path / "store.json")
-        cache.save(tmp_path / "store.sqlite")
-
-        via_json = CostCache.from_file(tmp_path / "store.json")
-        via_sqlite = CostCache.from_file(tmp_path / "store.sqlite")
-        json_entries = dict(via_json.entries())
-        sqlite_entries = {k: via_sqlite.peek(k) for k in json_entries}
-        assert sqlite_entries == json_entries
 
 
 def _count_calls(monkeypatch, *names):
@@ -400,7 +389,7 @@ class TestConcurrentWriters:
             p.join(timeout=120)
         assert all(p.exitcode == 0 for p in writers)
 
-        store = SqliteCostStore(path, create=False)
+        store = SqliteCostStore(path)
         assert len(store) == 4 * per_writer
         for i in range(4 * per_writer):
             assert store.get(_key(i)) == _record(i)
