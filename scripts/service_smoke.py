@@ -108,7 +108,7 @@ def main() -> int:
         direct = autotune(
             workload,
             schedules=list(_PLAN_BODY["schedules"]),
-            option_grids={},
+            options=False,
             cache=cache,
         )
         seeded = cache.stats.misses

@@ -127,7 +127,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import math
 import os
 import sys
 import time
@@ -213,8 +212,11 @@ def _checked(convert, ok, what: str):
 
 
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+# The cap in bytes (cap * 2**30) must be a finite float too.
 _memory_cap_gib = _checked(
-    float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0"
+    float,
+    lambda v: 0 <= v <= sys.float_info.max / _GIB,
+    "a number >= 0 whose value in bytes is finite",
 )
 
 
@@ -312,7 +314,7 @@ def _add_workload_args(parser: argparse.ArgumentParser, grid: bool = False) -> N
         g.add_argument(
             "-p",
             "--pipeline-size",
-            type=int,
+            type=_positive_int,
             default=None,
             metavar="P",
             help="pipeline stages == nodes (default: 8; 4 with --smoke)",
@@ -386,7 +388,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_describe(args: argparse.Namespace) -> int:
     spec = get_schedule(args.schedule)
-    p = args.pipeline_size or 8
+    p = args.pipeline_size
     print(f"{spec.name}: {spec.description}")
     print(f"  family:            {spec.family or '-'}")
     print(f"  tunable:           {spec.tunable}")
@@ -627,9 +629,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
     cache = _load_cache(args.cache)
 
-    kwargs: dict[str, Any] = {"prune": not args.no_prune}
-    if args.no_options or args.smoke:
-        kwargs["option_grids"] = {}  # disable the option axis
+    kwargs: dict[str, Any] = {
+        "options": not (args.no_options or args.smoke),
+        "prune": not args.no_prune,
+    }
     cap = (
         args.memory_cap_gib * _GIB
         if args.memory_cap_gib is not None  # 0 is a real (tiny) cap
@@ -961,8 +964,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_desc.add_argument(
         "-p",
         "--pipeline-size",
-        type=int,
-        default=None,
+        type=_positive_int,
+        default=8,
         metavar="P",
         help="pipeline size to resolve grids/divisors against (default: 8)",
     )
@@ -1013,7 +1016,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "-m",
         "--num-micro-batches",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="M",
         help="micro-batch count (default: 2p rounded onto each "

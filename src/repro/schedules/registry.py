@@ -28,15 +28,16 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
-import re
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.costmodel.memory import RecomputeStrategy
 from repro.schedules.costs import CostProvider
 from repro.schedules.ir import Schedule
 from repro.schedules.passes import run_passes
+
+if TYPE_CHECKING:
+    from repro.workloads import Workload
 
 __all__ = [
     "ScheduleBuildError",
@@ -360,80 +361,38 @@ def workload_option_defaults(
 
 # -- canonical workload identity ---------------------------------------------
 
-_ADDRESS_REPR = re.compile(r" at 0x[0-9a-fA-F]+>")
-
 
 def stable_value_key(obj: Any) -> Any:
     """A process-stable, hashable, JSON-friendly identity for ``obj``.
 
-    Dataclasses key on their type name plus recursively-keyed field
-    values, so two instances with equal fields share a key across
-    processes and interpreter restarts.  Objects may opt in explicitly
-    with a ``cache_key()`` method.  Anything else falls back to
-    ``repr`` -- *except* the default ``object.__repr__``, whose
-    ``0x...`` memory address differs per process and would poison a
-    shared or persisted cache with keys that never hit; those are
-    rejected loudly.
+    Primitives key as themselves; dataclasses key on their type name
+    plus recursively-keyed field values, so two instances with equal
+    fields share a key across processes and interpreter restarts.
+    Anything else raises :class:`TypeError`: its identity could differ
+    per process and poison a shared or persisted cache with keys that
+    never hit.
     """
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    cache_key = getattr(obj, "cache_key", None)
-    if callable(cache_key):
-        return stable_value_key(cache_key())
-    if isinstance(obj, Enum):
-        return (type(obj).__qualname__, obj.value)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return (type(obj).__qualname__,) + tuple(
             (f.name, stable_value_key(getattr(obj, f.name)))
             for f in dataclasses.fields(obj)
         )
-    if isinstance(obj, (tuple, list)):
-        return tuple(stable_value_key(v) for v in obj)
-    if isinstance(obj, (set, frozenset)):
-        # Set repr order is hash-randomised per process; sort the
-        # element keys so equal sets share a key across interpreters.
-        return ("set",) + tuple(
-            sorted((stable_value_key(v) for v in obj), key=repr)
-        )
-    if isinstance(obj, Mapping):
-        # Key the keys too ({1: x} must not alias {"1": x}) and sort by
-        # repr so mixed-type keys order deterministically, as the set
-        # branch above does.
-        return ("map",) + tuple(
-            sorted(
-                (
-                    (stable_value_key(k), stable_value_key(v))
-                    for k, v in obj.items()
-                ),
-                key=repr,
-            )
-        )
-    r = repr(obj)
-    if _ADDRESS_REPR.search(r):
-        raise TypeError(
-            f"cannot derive a stable cache key for {type(obj).__qualname__}: "
-            f"its repr embeds a memory address ({r!r}), which differs per "
-            "process and would never hit in a shared or persisted cache; "
-            "make it a dataclass or give it a cache_key() method"
-        )
-    return r
+    raise TypeError(
+        f"cannot derive a stable cache key for {type(obj).__qualname__}: "
+        "only primitives and dataclasses of them key stably across processes"
+    )
 
 
-def workload_cache_key(workload: Any) -> tuple:
+def workload_cache_key(workload: Workload) -> tuple:
     """Canonical cache identity of a workload's shape and hardware.
 
     The single source of truth for how the tuner, its process-pool
     workers and the persistent cost cache identify a workload: equal
     keys mean the same model x cluster x sequence length x micro-batch
-    size, regardless of which process computed them.  Duck-typed
-    workloads can override the whole key with ``cache_key()``.
+    size, regardless of which process computed them.
     """
-    cache_key = getattr(workload, "cache_key", None)
-    if callable(cache_key):
-        key = stable_value_key(cache_key())
-        # Scalars (a string name, a precomputed hash) are legal hook
-        # returns; wrap rather than iterate so '7B' stays one component.
-        return key if isinstance(key, tuple) else (key,)
     return (
         stable_value_key(workload.model),
         stable_value_key(workload.cluster),

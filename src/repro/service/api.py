@@ -105,6 +105,14 @@ class PlannerAPIHandler(BaseHTTPRequestHandler):
             raise ValueError(f"request body is not valid JSON: {err}") from None
 
     def _dispatch(self, method: str) -> None:
+        if "Transfer-Encoding" in self.headers:
+            # Only Content-Length bodies are read; a chunked body left in
+            # the socket would be parsed as the next request, so close.
+            self.close_connection = True
+            self._send_error_json(
+                400, "Transfer-Encoding is not supported; send a Content-Length"
+            )
+            return
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         name = self.ROUTES.get((method, path))
         if name is None:

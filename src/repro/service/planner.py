@@ -38,7 +38,7 @@ compared byte-for-byte against a direct :func:`autotune` run.
 
 from __future__ import annotations
 
-import math
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -208,12 +208,12 @@ def parse_plan_request(payload: Mapping[str, Any]) -> PlanQuery:
     """
     _check_fields(payload, _PLAN_FIELDS, "plan")
     model = payload.get("model", "7B")
-    if model not in MODEL_PRESETS:
+    if not isinstance(model, str) or model not in MODEL_PRESETS:
         raise ValueError(
             f"unknown model preset {model!r}; available: {sorted(MODEL_PRESETS)}"
         )
     gpu = payload.get("gpu", "H20")
-    if gpu not in GPU_CLUSTERS:
+    if not isinstance(gpu, str) or gpu not in GPU_CLUSTERS:
         raise ValueError(
             f"unknown GPU preset {gpu!r}; available: {sorted(GPU_CLUSTERS)}"
         )
@@ -221,14 +221,16 @@ def parse_plan_request(payload: Mapping[str, Any]) -> PlanQuery:
     if num_micro_batches is not None:
         num_micro_batches = _parse_int(payload, "num_micro_batches", 0)
     cap = payload.get("memory_cap_gib")
+    # The cap in bytes (cap * 2**30) must be a finite float too; the
+    # comparison also holds for an int too large to convert to float.
     if cap is not None and (
         isinstance(cap, bool)
         or not isinstance(cap, (int, float))
-        or not math.isfinite(cap)
-        or cap < 0
+        or not 0 <= cap <= sys.float_info.max / _GIB
     ):
         raise ValueError(
-            f"'memory_cap_gib' must be a finite non-negative number, got {cap!r}"
+            "'memory_cap_gib' must be a non-negative number whose value in "
+            f"bytes is finite, got {cap!r}"
         )
     top = payload.get("top")
     if top is not None:
@@ -335,7 +337,7 @@ class PlannerService:
                 workload,
                 query.memory_cap_bytes(workload),
                 schedules=list(query.schedules) if query.schedules else None,
-                option_grids=None if query.options else {},
+                options=query.options,
                 cache=self.cache,
                 workers=self.workers,
                 prune=query.prune,
@@ -504,7 +506,7 @@ class PlannerService:
                 plans = tune_grid(
                     grid,
                     schedules=list(schedules) if schedules else None,
-                    option_grids=None if options else {},
+                    options=options,
                     cache=self.cache,
                     workers=self.workers,
                     ir_cache=self._ir_cache,

@@ -29,12 +29,7 @@ micro-batch count its budget allows) and ranked across the whole grid
 ...                                budget_tokens=4 << 20))
 """
 
-from repro.tuner.autotune import (
-    Candidate,
-    PlanResult,
-    autotune,
-    enumerate_candidates,
-)
+from repro.tuner.autotune import Candidate, PlanResult, autotune
 from repro.tuner.cache import CacheStats, CostCache, costmodel_fingerprint
 from repro.tuner.grid import GridPlan, tune_grid
 from repro.tuner.ircache import ScheduleIRCache
@@ -45,7 +40,6 @@ __all__ = [
     "Candidate",
     "PlanResult",
     "autotune",
-    "enumerate_candidates",
     "CostCache",
     "CacheStats",
     "costmodel_fingerprint",

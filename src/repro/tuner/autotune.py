@@ -16,19 +16,12 @@ throughput, infeasible candidates kept with their reasons.
 
 Large grids parallelise: ``autotune(..., workers=N)`` evaluates cold
 candidates in a ``concurrent.futures`` process pool
-(:mod:`repro.tuner.worker`), merging each worker's cache into the
-caller's on join.  Results are deterministic and identical to the
-serial sweep -- evaluation is a pure function of the candidate key, and
-rows are assembled in sweep order regardless of completion order.
-
-The workload argument is duck-typed to
-:class:`repro.workloads.Workload`: anything exposing ``p``,
-``num_micro_batches``, ``micro_batch``, ``seq_len``, ``cluster``,
-``model``, ``costs(recompute)`` and ``static_memory()`` works.  Cache
-keys must be stable across processes, so a workload whose ``model`` or
-``cluster`` is not a dataclass (and has no value-bearing ``repr``) must
-provide a ``cache_key()`` method -- see
-:func:`repro.schedules.registry.workload_cache_key`.
+(:mod:`repro.tuner.worker`).  Each worker returns a dict of records by
+cache key, which the serial walk feeds through
+:meth:`CostCache.get_or_eval`.  Results are deterministic and identical
+to the serial sweep -- evaluation is a pure function of the candidate
+key, and rows are assembled in sweep order regardless of completion
+order.
 """
 
 from __future__ import annotations
@@ -37,10 +30,11 @@ import functools
 import gc
 import itertools
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.costmodel.memory import RecomputeStrategy
 from repro.schedules.registry import (
@@ -58,8 +52,9 @@ from repro.tuner.cache import CostCache
 from repro.tuner.ircache import ScheduleIRCache
 from repro.tuner.telemetry import SweepTelemetry
 from repro.tuner.worker import evaluate_chunk
+from repro.workloads import Workload
 
-__all__ = ["Candidate", "PlanResult", "enumerate_candidates", "autotune"]
+__all__ = ["Candidate", "PlanResult", "autotune"]
 
 # Smallest schedule (total instruction count) worth recording a timeline
 # reference for.  Below this, a full simulation costs about as much as
@@ -149,37 +144,15 @@ def _tunable_specs(schedules: Sequence[str] | None) -> list[ScheduleSpec]:
 
 
 def _option_combos(
-    spec: ScheduleSpec,
-    num_stages: int,
-    option_grids: Mapping[str, Mapping[str, Sequence[Any]]] | None,
+    spec: ScheduleSpec, num_stages: int
 ) -> list[tuple[tuple[str, Any], ...]]:
-    """Option combinations for one spec, canonicalised against defaults.
+    """The spec's registered option combinations, canonicalised.
 
     Pairs whose value equals the schema default are dropped, so the
     all-defaults combination is always the empty tuple -- one canonical
     key per configuration, however the grid spelled it.
     """
-    if option_grids is None:
-        grid = spec.option_grid(num_stages)
-    else:
-        grid = {
-            name: tuple(values)
-            for name, values in option_grids.get(spec.name, {}).items()
-        }
-        unknown = sorted(set(grid) - set(spec.options))
-        if unknown:
-            raise ValueError(
-                f"{spec.name}: option grid names {unknown} not in the "
-                f"option schema {sorted(spec.options)}"
-            )
-    empty = sorted(name for name, values in grid.items() if not values)
-    if empty:
-        # An empty axis would itertools.product to zero combos and
-        # silently drop the schedule -- the silent-exclusion class this
-        # module otherwise reports as infeasible rows.
-        raise ValueError(
-            f"{spec.name}: empty value sequence for option grid {empty}"
-        )
+    grid = spec.option_grid(num_stages)
     if not grid:
         return [()]
     names = sorted(grid)
@@ -196,143 +169,59 @@ def _option_combos(
 
 
 def _iter_grid(
-    workload: Any,
+    workload: Workload,
     schedules: Sequence[str] | None,
-    recomputes: Sequence[RecomputeStrategy] | str | None,
-    micro_batch_counts: Sequence[int] | None,
-    option_grids: Mapping[str, Mapping[str, Sequence[Any]]] | None,
-    fill_budget: bool = False,
+    options: bool,
+    fill_budget: bool,
 ) -> Iterator[tuple[Candidate, str | None]]:
     """Yield ``(candidate, precluded_reason)`` over the full sweep grid.
+
+    The grid is schedules x registered option combinations (only the
+    defaults when ``options`` is false) x micro-batch counts x each
+    schedule's admissible recompute strategies.  Each schedule sweeps
+    every multiple of its own micro-batch divisor up to the workload's
+    budget (``workload.num_micro_batches``), so a layer-wise baseline
+    that only needs multiples of ``p`` is not restricted to HelixPipe's
+    ``2p`` grid.  ``fill_budget`` runs only the largest multiple <=
+    budget instead -- the fixed-tokens-per-iteration semantics of
+    token-budget planning, where the micro-batch count is determined by
+    the workload, not searched.
 
     ``precluded_reason`` is ``None`` for real grid points.  A schedule
     whose micro-batch divisor exceeds the workload budget has no grid
     point at all; it yields one synthetic candidate (at the divisor,
     the smallest count it could run) with the reason, so sweeps report
     the exclusion instead of silently dropping the schedule.
-
-    ``fill_budget`` switches the micro-batch axis from *sweep every
-    multiple of the divisor* to *run the largest multiple <= budget* --
-    the fixed-tokens-per-iteration semantics of token-budget planning,
-    where the micro-batch count is determined by the workload, not
-    searched.
     """
-    p = int(workload.p)
-    budget = int(workload.num_micro_batches)
-    specs = _tunable_specs(schedules)
-    if option_grids is not None:
-        # A grid keyed by a schedule outside the sweep is a typo, and a
-        # worse one than an unknown option name: the override also
-        # disables every registered grid, so the sweep would silently
-        # run all-defaults while looking successful.
-        unknown = sorted(set(option_grids) - {s.name for s in specs})
-        if unknown:
-            raise ValueError(
-                f"option grid(s) for {unknown} name no swept schedule; "
-                f"sweeping: {sorted(s.name for s in specs)}"
+    p = workload.p
+    budget = workload.num_micro_batches
+    for spec in _tunable_specs(schedules):
+        for combo in _option_combos(spec, p) if options else [()]:
+            d = spec.micro_batch_divisor(p, **dict(combo))
+            if d > budget:
+                yield (
+                    Candidate(spec.name, spec.default_recompute, d, combo),
+                    f"micro-batch divisor {d} exceeds budget {budget}",
+                )
+                continue
+            counts: Iterable[int] = (
+                ((budget // d) * d,) if fill_budget else range(d, budget + 1, d)
             )
-    if isinstance(recomputes, str) and recomputes != "defaults":
-        # Any other string would be iterated character-by-character and
-        # crash far from here with an opaque AttributeError.
-        raise ValueError(
-            f"recomputes={recomputes!r}: the only string mode is "
-            "'defaults' (pass a sequence of RecomputeStrategy otherwise)"
-        )
-    for spec in specs:
-        if recomputes is None:
-            strategies: Sequence[RecomputeStrategy] = spec.recompute_choices
-        elif recomputes == "defaults":
-            # Each schedule in its paper-default configuration only --
-            # the comparison-figure semantics (one row per method).
-            strategies = (spec.default_recompute,)
-        else:
-            strategies = recomputes
-        for combo in _option_combos(spec, p, option_grids):
-            if micro_batch_counts is None:
-                d = spec.micro_batch_divisor(p, **dict(combo))
-                if d > budget:
-                    yield (
-                        Candidate(spec.name, spec.default_recompute, d, combo),
-                        f"micro-batch divisor {d} exceeds budget {budget}",
-                    )
-                    continue
-                if fill_budget:
-                    counts: Iterable[int] = ((budget // d) * d,)
-                else:
-                    counts = range(d, budget + 1, d)
-            else:
-                counts = micro_batch_counts
             for m in counts:
-                for strat in strategies:
-                    yield Candidate(spec.name, strat, int(m), combo), None
-
-
-def enumerate_candidates(
-    workload: Any,
-    schedules: Sequence[str] | None = None,
-    recomputes: Sequence[RecomputeStrategy] | str | None = None,
-    micro_batch_counts: Sequence[int] | None = None,
-    option_grids: Mapping[str, Mapping[str, Sequence[Any]]] | None = None,
-    fill_budget: bool = False,
-) -> list[Candidate]:
-    """The sweep grid: schedules x recompute x micro-batch counts x options.
-
-    With ``micro_batch_counts=None`` each schedule sweeps every multiple
-    of its own divisibility constraint up to the workload's micro-batch
-    budget (``workload.num_micro_batches``), so a layer-wise baseline
-    that only needs multiples of ``p`` is not restricted to HelixPipe's
-    ``2p`` grid.  With ``recomputes=None`` each schedule sweeps its own
-    admissible strategies; the string ``"defaults"`` restricts each
-    schedule to its single paper-default strategy instead.  With ``option_grids=None`` each schedule
-    sweeps its registered :attr:`~ScheduleSpec.tune_options` grid
-    (resolved for the workload's pipeline size).  An explicit
-    ``{schedule: {option: values}}`` mapping *replaces* the registered
-    grids entirely -- schedules it does not name sweep defaults only,
-    and ``{}`` disables the option axis altogether; to extend one
-    schedule's grid while keeping the others, include theirs in the
-    mapping too.  Explicit counts and strategies are taken
-    as-is -- candidates that violate a hard builder constraint or name
-    an inadmissible strategy surface as infeasible results rather than
-    being silently dropped.  ``fill_budget=True`` replaces the
-    micro-batch sweep with the single largest feasible count per
-    schedule/option combination (token-budget planning semantics).
-    """
-    return [
-        cand
-        for cand, precluded in _iter_grid(
-            workload,
-            schedules,
-            recomputes,
-            micro_batch_counts,
-            option_grids,
-            fill_budget,
-        )
-        if precluded is None
-    ]
+                for strat in spec.recompute_choices:
+                    yield Candidate(spec.name, strat, m, combo), None
 
 
 # -- evaluation --------------------------------------------------------------
 
 
-def _workload_key(workload: Any) -> tuple:
-    # Canonical, process-stable identity (dataclass fields or an opt-in
-    # cache_key() hook -- never a memory-address repr): two workloads
-    # may share a model/cluster *name* (a tweaked "7B" preset, a retuned
-    # "H20x8") and must not alias in a shared or persisted cache, and a
-    # key computed in a pool worker must equal the parent's.
-    return workload_cache_key(workload)
-
-
-def _candidate_key(
-    workload: Any,
-    cand: Candidate,
-    memory_cap_bytes: float,
-    workload_key: tuple | None = None,
-) -> tuple:
-    # Sweep loops pass the precomputed workload_key: the recursive
-    # dataclass traversal is identical for every candidate.
+def _candidate_key(wkey: tuple, cand: Candidate, memory_cap_bytes: float) -> tuple:
+    # ``wkey`` is workload_cache_key(workload): a canonical,
+    # process-stable identity, so two workloads sharing a model/cluster
+    # *name* never alias in a shared or persisted cache, and a key
+    # computed in a pool worker equals the parent's.
     return (
-        _workload_key(workload) if workload_key is None else workload_key,
+        wkey,
         float(memory_cap_bytes),
         cand.schedule,
         cand.recompute.value,
@@ -362,18 +251,22 @@ class _EvalContext:
       siblings resume it (:mod:`repro.sim.incremental`), with metrics
       bit-identical to a full simulation either way;
     * ``telemetry`` accumulates per-phase wall time and counters.
+
+    ``wkey`` is the workload's :func:`workload_cache_key`, and
+    ``candidates`` the ones this context will evaluate: their sibling
+    family sizes decide which simulations record a reference.
     """
 
     def __init__(
         self,
-        workload: Any,
+        workload: Workload,
         memory_cap_bytes: float,
+        wkey: tuple,
+        candidates: Iterable[Candidate],
         *,
-        wkey: tuple | None = None,
         ir_cache: ScheduleIRCache | None = None,
         incremental: bool = True,
         telemetry: SweepTelemetry | None = None,
-        family_counts: Mapping[tuple, int] | None = None,
     ) -> None:
         self.workload = workload
         self.memory_cap_bytes = float(memory_cap_bytes)
@@ -381,7 +274,10 @@ class _EvalContext:
         self.ir_cache = ir_cache
         self.incremental = incremental
         self.telemetry = telemetry
-        self.family_counts = family_counts if family_counts is not None else {}
+        # Sibling-family multiplicity decides whether the first simulated
+        # member records a resumable timeline reference: recording costs
+        # a few percent, so singleton families skip it.
+        self.family_counts = Counter(self.family_key(c) for c in candidates)
         self._costs: dict[RecomputeStrategy, Any] = {}
         self._static: float | None = None
         self._defaults: dict[str, dict[str, Any]] = {}
@@ -405,15 +301,10 @@ class _EvalContext:
             )
         return defaults
 
-    def _workload_key(self) -> tuple:
-        if self.wkey is None:
-            self.wkey = _workload_key(self.workload)
-        return self.wkey
-
     def family_key(self, cand: Candidate) -> tuple:
         """Identity of a candidate's sibling family (recompute excluded)."""
         return (
-            self._workload_key(),
+            self.wkey,
             self.memory_cap_bytes,
             cand.schedule,
             cand.num_micro_batches,
@@ -427,7 +318,7 @@ class _EvalContext:
         key = None
         if cache is not None:
             key = (
-                self._workload_key(),
+                self.wkey,
                 self.memory_cap_bytes,
                 cand.schedule,
                 cand.recompute.value,
@@ -511,15 +402,8 @@ class _EvalContext:
                 tel.simulated += 1
 
 
-def _cold_evaluate(
-    workload: Any,
-    cand: Candidate,
-    memory_cap_bytes: float,
-    ctx: _EvalContext | None = None,
-) -> dict[str, Any]:
+def _cold_evaluate(ctx: _EvalContext, cand: Candidate) -> dict[str, Any]:
     """Build + simulate one candidate; returns a cacheable record."""
-    if ctx is None:
-        ctx = _EvalContext(workload, memory_cap_bytes)
     spec = get_schedule(cand.schedule)
     opts = dict(cand.options)
     for name, value in ctx.option_defaults(spec).items():
@@ -555,7 +439,7 @@ def _infeasible(cand: Candidate, reason: str) -> PlanResult:
 
 
 def _to_plan_result(
-    workload: Any,
+    workload: Workload,
     cand: Candidate,
     record: dict[str, Any],
     memory_cap_bytes: float,
@@ -586,16 +470,13 @@ def _to_plan_result(
 
 
 def autotune(
-    workload: Any,
+    workload: Workload,
     memory_cap_bytes: float | None = None,
     *,
     schedules: Sequence[str] | None = None,
-    recomputes: Sequence[RecomputeStrategy] | str | None = None,
-    micro_batch_counts: Sequence[int] | None = None,
-    option_grids: Mapping[str, Mapping[str, Sequence[Any]]] | None = None,
+    options: bool = True,
     fill_budget: bool = False,
     cache: CostCache | None = None,
-    include_infeasible: bool = True,
     workers: int | None = None,
     prune: bool = True,
     ir_cache: ScheduleIRCache | None = None,
@@ -607,21 +488,21 @@ def autotune(
     Parameters
     ----------
     workload:
-        Workload shape + cost context (see module docstring).
+        The :class:`~repro.workloads.Workload` to plan: its shape, cost
+        context and micro-batch budget.
     memory_cap_bytes:
         Per-GPU memory capacity; defaults to the cluster GPU's HBM size.
         Plans whose simulated peak exceeds it are reported infeasible,
         and schedules that plan under a cap themselves (AdaPipe) receive
         it as their planning budget.
-    schedules, recomputes, micro_batch_counts, option_grids:
-        Restrict the sweep grid; ``None`` means every tunable registered
-        schedule, each schedule's admissible strategies (the string
-        ``"defaults"``: only each schedule's default strategy), every
-        micro-batch count on the schedule's divisibility grid up to the
-        workload budget, and each schedule's registered option grid.
-        An explicit ``option_grids`` mapping replaces the registered
-        grids entirely (unnamed schedules sweep defaults only; ``{}``
-        disables the option axis).
+    schedules:
+        Registered schedule names to sweep; ``None`` means every tunable
+        one.  Each schedule sweeps its own admissible recompute
+        strategies and every micro-batch count on its divisibility grid
+        up to the workload budget.
+    options:
+        Sweep each schedule's registered option grid; ``False`` runs
+        every schedule at its default options only.
     fill_budget:
         Run each schedule/option combination at the single largest
         micro-batch count on its divisor grid under the workload budget
@@ -634,15 +515,13 @@ def autotune(
         never re-simulated; pass the same cache to later sweeps, or one
         attached to a persisted store with :meth:`CostCache.open`, to
         reuse evaluations across sweeps and runs.
-    include_infeasible:
-        Keep infeasible candidates (with reasons) at the tail of the
-        returned list.
     workers:
         Evaluate cold candidates in a process pool of this size
         (``None``/``0``/``1``: serially in-process).  Each worker
-        evaluates a chunk into its own cache; the chunks are merged into
-        ``cache`` on join, and results are identical to the serial sweep
-        in content, order and cache-stats accounting.
+        evaluates a chunk and returns a dict of records by cache key;
+        the serial walk feeds those records through
+        :meth:`CostCache.get_or_eval`, so results are identical to the
+        serial sweep in content, order and cache-stats accounting.
     prune:
         Skip simulating candidates whose closed-form throughput upper
         bound (:func:`repro.tuner.bounds.throughput_upper_bounds`, built
@@ -655,9 +534,7 @@ def autotune(
         (reason ``"pruned: ..."``), are counted in
         :attr:`CacheStats.pruned`, and never enter the cache -- a warm
         re-sweep replays the identical decisions.  ``prune=False`` is
-        the exhaustive escape hatch; workloads the closed-form model
-        cannot price (duck types without model/GPU attributes) disable
-        pruning automatically.
+        the exhaustive escape hatch.
     ir_cache:
         :class:`ScheduleIRCache` memoizing built IR under its structural
         key (workload, cap, schedule, recompute, m, options), so each
@@ -683,8 +560,8 @@ def autotune(
     -------
     list[PlanResult]
         Feasible plans first, ranked by simulated tokens/s (ties broken
-        by lower peak memory), then -- unless disabled -- the infeasible
-        candidates in sweep order.
+        by lower peak memory), then the infeasible candidates, with
+        their reasons, in sweep order.
     """
     cache = CostCache() if cache is None else cache
     if ir_cache is None:
@@ -692,52 +569,26 @@ def autotune(
     if memory_cap_bytes is None:
         memory_cap_bytes = float(workload.cluster.node.gpu.hbm_bytes)
 
-    wkey = _workload_key(workload)
+    wkey = workload_cache_key(workload)
     rows: list[PlanResult | None] = []
     pending: list[tuple[int, Candidate, tuple]] = []
-    for cand, precluded in _iter_grid(
-        workload, schedules, recomputes, micro_batch_counts, option_grids,
-        fill_budget,
-    ):
-        if (
-            precluded is None
-            and cand.recompute
-            not in get_schedule(cand.schedule).recompute_choices
-        ):
-            # Explicitly requested strategy the schedule does not model
-            # faithfully: report it rather than evaluating nonsense.
-            precluded = (
-                f"recompute {cand.recompute.value!r} not admissible "
-                f"for schedule {cand.schedule!r}"
-            )
+    for cand, precluded in _iter_grid(workload, schedules, options, fill_budget):
         if precluded is not None:
             rows.append(_infeasible(cand, precluded))
             continue
         pending.append(
-            (
-                len(rows),
-                cand,
-                _candidate_key(workload, cand, memory_cap_bytes, wkey),
-            )
+            (len(rows), cand, _candidate_key(wkey, cand, memory_cap_bytes))
         )
         rows.append(None)
 
-    # Sibling-family multiplicity decides whether the first simulated
-    # member records a resumable timeline reference: recording costs a
-    # few percent, so singleton families skip it.
-    family_counts: dict[tuple, int] = {}
-    cap = float(memory_cap_bytes)
-    for _, cand, _key in pending:
-        fam = (wkey, cap, cand.schedule, cand.num_micro_batches, cand.options)
-        family_counts[fam] = family_counts.get(fam, 0) + 1
     ctx = _EvalContext(
         workload,
         memory_cap_bytes,
-        wkey=wkey,
+        wkey,
+        [cand for _, cand, _ in pending],
         ir_cache=ir_cache,
         incremental=incremental,
         telemetry=telemetry,
-        family_counts=family_counts,
     )
     if telemetry is not None:
         telemetry.candidates += len(pending)
@@ -770,9 +621,10 @@ def autotune(
     if telemetry is not None:
         telemetry.eval_s += time.perf_counter() - t_fetch
 
-    # Fan the cold candidates out to a process pool.  Each worker fills
-    # a private CostCache; the merged records feed the same get_or_eval
-    # path the serial sweep uses, so hit/miss accounting is identical.
+    # Fan the cold candidates out to a process pool.  Each worker returns
+    # its records by key; the walk below feeds them through the same
+    # get_or_eval path the serial sweep uses, so hit/miss accounting is
+    # identical.
     remote: dict[tuple, dict[str, Any]] = {}
     if workers and workers > 1:
         # Cached feasible throughputs give the pruning floor before any
@@ -838,10 +690,7 @@ def autotune(
                 record = cache.get_or_eval(key, lambda k=key: remote[k])
             else:
                 record = cache.get_or_eval(
-                    key,
-                    lambda c=cand: _cold_evaluate(
-                        workload, c, memory_cap_bytes, ctx
-                    ),
+                    key, lambda c=cand: _cold_evaluate(ctx, c)
                 )
             held.add(key)  # cached now: a repeat of this key is never pruned
             row = _to_plan_result(workload, cand, record, memory_cap_bytes)
@@ -854,6 +703,4 @@ def autotune(
     results: list[PlanResult] = rows  # type: ignore[assignment]
     feasible = [r for r in results if r.feasible]
     feasible.sort(key=lambda r: (-r.tokens_per_s, r.peak_memory_bytes))
-    if not include_infeasible:
-        return feasible
     return feasible + [r for r in results if not r.feasible]

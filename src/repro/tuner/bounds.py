@@ -15,37 +15,25 @@ across the micro-batch axis.
 Bounds are *admissible*: ``upper_bound >= simulated tokens/s`` for every
 candidate, so best-first pruning in :func:`repro.tuner.autotune` never
 discards the optimum (see ``tests/analysis/test_bounds.py`` and
-``tests/tuner/test_prune.py``).  Workloads that cannot be priced (duck
-types without a model/cluster, exotic cost providers) return ``None``,
-which disables pruning rather than guessing.
+``tests/tuner/test_prune.py``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 from repro.analysis.bubble import bubble_lower_bound, recompute_time_lower_bound
 from repro.costmodel.timing import TimingModel
+from repro.schedules.registry import get_schedule
+from repro.workloads import Workload
 
 __all__ = ["throughput_upper_bounds"]
 
 
-def _spec_options(schedule: str) -> dict[str, Any]:
-    # Registered defaults fill option names the canonicalised candidate
-    # tuple dropped; unknown schedules fall back to the candidate's own
-    # options (the bound dispatch has safe defaults for missing names).
-    from repro.schedules.registry import get_schedule
-
-    try:
-        return dict(get_schedule(schedule).options)
-    except KeyError:
-        return {}
-
-
 def throughput_upper_bounds(
-    workload: Any, candidates: Sequence[Any]
-) -> Optional[list[float]]:
-    """Upper-bound tokens/s for every candidate, or ``None`` if unpriceable.
+    workload: Workload, candidates: Sequence[Any]
+) -> list[float]:
+    """Upper-bound tokens/s for every candidate.
 
     Returns a list aligned with ``candidates``.  Each entry is
     ``tokens(candidate) / makespan_lower_bound(candidate)`` -- since the
@@ -54,17 +42,14 @@ def throughput_upper_bounds(
     """
     if not candidates:
         return []
-    try:
-        gpu = workload.cluster.node.gpu
-        sp = int(workload.cluster.sequence_parallel_size)
-        model = workload.model
-        num_layers = int(model.num_layers)
-        p = int(workload.p)
-        b = int(workload.micro_batch)
-        s = int(workload.seq_len)
-        layer = TimingModel(gpu, model, b, s, sp=sp).layer_times()
-    except (AttributeError, TypeError, ValueError):
-        return None
+    gpu = workload.cluster.node.gpu
+    sp = int(workload.cluster.sequence_parallel_size)
+    model = workload.model
+    num_layers = int(model.num_layers)
+    p = int(workload.p)
+    b = int(workload.micro_batch)
+    s = int(workload.seq_len)
+    layer = TimingModel(gpu, model, b, s, sp=sp).layer_times()
 
     work_per_mb = num_layers * (layer.fwd + layer.bwd) / p
     chain = num_layers * (
@@ -83,8 +68,9 @@ def throughput_upper_bounds(
         key = (cand.schedule, cand.options)
         bub = bubble_memo.get(key)
         if bub is None:
-            opts = _spec_options(cand.schedule)
-            opts.update(dict(cand.options))
+            # Registered defaults fill the option names the canonical
+            # candidate tuple dropped.
+            opts = {**get_schedule(cand.schedule).options, **dict(cand.options)}
             bub = bubble_lower_bound(cand.schedule, layer, num_layers, p, opts)
             bubble_memo[key] = bub
         rc = rc_memo.get(cand.recompute)

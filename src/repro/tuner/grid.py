@@ -29,9 +29,8 @@ point it has seen across runs and processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
-from repro.costmodel.memory import RecomputeStrategy
 from repro.tuner.autotune import PlanResult, autotune
 from repro.tuner.cache import CostCache
 from repro.tuner.ircache import ScheduleIRCache
@@ -74,10 +73,8 @@ def tune_grid(
     memory_cap_bytes: float | None = None,
     *,
     schedules: Sequence[str] | None = None,
-    recomputes: Sequence[RecomputeStrategy] | str | None = None,
-    option_grids: Mapping[str, Mapping[str, Sequence[Any]]] | None = None,
+    options: bool = True,
     cache: CostCache | None = None,
-    include_infeasible: bool = True,
     workers: int | None = None,
     prune: bool = True,
     ir_cache: ScheduleIRCache | None = None,
@@ -90,9 +87,9 @@ def tune_grid(
     to the per-point sweep); ``memory_cap_bytes`` defaults to the
     grid's GPU HBM size.  Returns feasible :class:`GridPlan` rows
     ranked by simulated tokens/s across the whole grid (ties broken by
-    lower peak memory), followed -- unless ``include_infeasible`` is
-    false -- by every infeasible row: unrunnable grid points first (in
-    grid order), then per-point infeasible candidates (in sweep order).
+    lower peak memory), followed by every infeasible row: unrunnable
+    grid points first (in grid order), then per-point infeasible
+    candidates (in sweep order).
 
     All points share one :class:`~repro.tuner.ircache.ScheduleIRCache`
     (created here when ``ir_cache`` is ``None``): IR keys embed the
@@ -113,11 +110,9 @@ def tune_grid(
             point.workload(),
             memory_cap_bytes,
             schedules=schedules,
-            recomputes=recomputes,
-            option_grids=option_grids,
+            options=options,
             fill_budget=True,
             cache=cache,
-            include_infeasible=True,
             workers=workers,
             prune=prune,
             ir_cache=ir_cache,
@@ -133,6 +128,4 @@ def tune_grid(
             r.plan.peak_memory_bytes if r.plan else 0.0,
         )
     )
-    if not include_infeasible:
-        return feasible
     return feasible + dead_points + infeasible

@@ -4,7 +4,8 @@
 ships to a :class:`concurrent.futures.ProcessPoolExecutor`: it cold-
 evaluates a chunk of candidates into a fresh per-worker
 :class:`~repro.tuner.cache.CostCache` and returns its records, which
-the parent feeds into the caller's cache on join.  Everything crossing
+the parent's serial walk feeds through its own cache's
+:meth:`~repro.tuner.cache.CostCache.get_or_eval`.  Everything crossing
 the process boundary -- the workload (plain dataclasses), the
 candidates (frozen dataclasses) and the returned records (a dict of
 primitive-tuple keys to primitive records) -- pickles cleanly, and
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Hashable, Sequence
 
+from repro.schedules.registry import workload_cache_key
 from repro.tuner.cache import CostCache
 
 __all__ = ["evaluate_chunk"]
@@ -51,29 +53,23 @@ def evaluate_chunk(
         _cold_evaluate,
         _EvalContext,
         _gc_paused,
-        _workload_key,
     )
     from repro.tuner.ircache import ScheduleIRCache
 
     local = CostCache()
-    wkey = _workload_key(workload)
-    cap = float(memory_cap_bytes)
-    family_counts: dict[tuple, int] = {}
-    for cand in candidates:
-        fam = (wkey, cap, cand.schedule, cand.num_micro_batches, cand.options)
-        family_counts[fam] = family_counts.get(fam, 0) + 1
+    wkey = workload_cache_key(workload)
     ctx = _EvalContext(
         workload,
         memory_cap_bytes,
-        wkey=wkey,
+        wkey,
+        candidates,
         ir_cache=ScheduleIRCache(),
         incremental=incremental,
-        family_counts=family_counts,
     )
     with _gc_paused():
         for cand in candidates:
             local.get_or_eval(
-                _candidate_key(workload, cand, memory_cap_bytes, wkey),
-                lambda c=cand: _cold_evaluate(workload, c, memory_cap_bytes, ctx),
+                _candidate_key(wkey, cand, memory_cap_bytes),
+                lambda c=cand: _cold_evaluate(ctx, c),
             )
     return dict(local.entries())

@@ -99,13 +99,15 @@ def parse_seq_lens(text: str) -> tuple[int, ...]:
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:
-    """Parse a comma-separated integer list (``4,8``)."""
+    """Parse a comma-separated list of positive integers (``4,8``)."""
     try:
         items = tuple(int(s) for s in text.split(",") if s.strip())
     except ValueError:
         raise ValueError(f"invalid integer list {text!r} (try 4,8)") from None
     if not items:
         raise ValueError(f"empty integer list {text!r}")
+    if min(items) <= 0:
+        raise ValueError(f"integer list entries must be positive, got {text!r}")
     return items
 
 
@@ -269,12 +271,12 @@ class WorkloadGrid:
     budget_tokens: int | None = None
 
     def __post_init__(self) -> None:
-        if self.model not in MODEL_PRESETS:
+        if not isinstance(self.model, str) or self.model not in MODEL_PRESETS:
             raise ValueError(
                 f"unknown model preset {self.model!r}; "
                 f"available: {sorted(MODEL_PRESETS)}"
             )
-        if self.gpu not in GPU_CLUSTERS:
+        if not isinstance(self.gpu, str) or self.gpu not in GPU_CLUSTERS:
             raise ValueError(
                 f"unknown GPU preset {self.gpu!r}; "
                 f"available: {sorted(GPU_CLUSTERS)}"

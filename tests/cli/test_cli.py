@@ -126,6 +126,25 @@ class TestBuildSimulate:
         assert out_k == out_n
 
 
+@pytest.mark.parametrize("argv,option", [
+    (("lint", "-m", "0"), "-m/--num-micro-batches"),
+    (("lint", "-m", "-2"), "-m/--num-micro-batches"),
+    (("lint", "-p", "0"), "-p/--pipeline-size"),
+    (("tune", "--smoke", "-p", "0"), "-p/--pipeline-size"),
+    (("describe", "helix", "-p", "0"), "-p/--pipeline-size"),
+    (("describe", "helix", "-p", "-2"), "-p/--pipeline-size"),
+    (("build", "1f1b", "-p", "0"), "-p/--pipeline-size"),
+    (("simulate", "1f1b", "-p", "0"), "-p/--pipeline-size"),
+])
+def test_sizes_and_counts_must_be_positive(capsys, argv, option):
+    """A zero or negative size is a usage error, not an empty lint pass,
+    a silent default or a late runtime failure."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"error: argument {option}" in capsys.readouterr().err
+
+
 class TestTune:
     def test_smoke_sweep(self, capsys):
         code, out, _ = run(capsys, "tune", "--smoke")
@@ -177,6 +196,7 @@ class TestTune:
         (("tune", "--smoke", "--memory-cap-gib", "nan"), "--memory-cap-gib"),
         (("tune", "--smoke", "--memory-cap-gib", "inf"), "--memory-cap-gib"),
         (("tune", "--smoke", "--memory-cap-gib", "-1"), "--memory-cap-gib"),
+        (("tune", "--smoke", "--memory-cap-gib", "1e300"), "--memory-cap-gib"),
         (("tune", "--smoke", "--top", "-1"), "--top"),
         (("tune", "--smoke", "--top", "0"), "--top"),
         (("tune", "--smoke", "--micro-batch", "0"), "--micro-batch"),

@@ -165,6 +165,39 @@ class TestPlanEndpoint:
         telemetry = server.service.telemetry.as_dict()
         assert telemetry["plans"] == 0 and telemetry["errors"] == 1
 
+    @pytest.mark.parametrize("method,path", [
+        ("POST", "/v1/plan"),
+        ("GET", "/v1/healthz"),
+    ])
+    def test_chunked_body_is_400_and_closes_the_connection(
+        self, server, method, path
+    ):
+        # Only Content-Length bodies are read: planning a chunked one as
+        # {} would answer the default workload, and its unread chunks
+        # would be parsed as the next request on this connection.
+        body = json.dumps(dict(_BODY, model="1.3B", seq_len="4k")).encode()
+        sock = socket.create_connection(server.server_address[:2], timeout=5.0)
+        try:
+            sock.sendall(
+                f"{method} {path} HTTP/1.1\r\nHost: localhost\r\n".encode()
+                + b"Content-Type: application/json\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                + b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+            )
+            resp = http.client.HTTPResponse(sock)
+            resp.begin()
+            assert resp.status == 400
+            assert "Transfer-Encoding" in json.loads(resp.read())["error"]
+            try:
+                closed = sock.recv(1) == b""
+            except ConnectionResetError:  # unread body bytes: RST, not FIN
+                closed = True
+            assert closed
+        finally:
+            sock.close()
+        telemetry = server.service.telemetry.as_dict()
+        assert telemetry["plans"] == 0 and telemetry["errors"] == 1
+
     def test_empty_body_uses_defaults_but_is_validated(self, server):
         # An empty body is the all-defaults plan request (64k x p=8); we
         # only check it parses -- evaluating it would be a slow sweep --

@@ -66,6 +66,9 @@ class TestParsePlanRequest:
             {"schedules": ["no-such-schedule"]},
             {"options": "yes"},
             {"prune": 1},
+            {"model": ["7B"]},
+            {"gpu": {"a": 1}},
+            {"memory_cap_gib": 1e300},
         ],
     )
     def test_malformed_values_are_rejected(self, payload):
@@ -85,7 +88,7 @@ class TestPlan:
         service = PlannerService()
         response = service.plan(_BODY)
         direct = autotune(
-            _workload(), schedules=["1f1b"], option_grids={},
+            _workload(), schedules=["1f1b"], options=False,
             cache=CostCache(),
         )
         assert response["plans"] == [plan_payload(r) for r in direct]
@@ -205,6 +208,10 @@ class TestSweeps:
             service.start_sweep({"seq_lens": []})
         with pytest.raises(ValueError, match="unknown model preset"):
             service.start_sweep({"model": "70T"})
+        with pytest.raises(ValueError, match="unknown model preset"):
+            service.start_sweep({"model": ["7B"]})
+        with pytest.raises(ValueError, match="unknown GPU preset"):
+            service.start_sweep({"gpu": {"a": 1}})
         for sizes in ([True], [2.5]):
             with pytest.raises(ValueError, match="pipeline_sizes"):
                 service.start_sweep({"pipeline_sizes": sizes})

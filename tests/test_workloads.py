@@ -44,6 +44,10 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_int_list("4,eight")
 
+    def test_int_list_entries_must_be_positive(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            parse_int_list("4,0")
+
     def test_format_seq_len_round_trips(self):
         assert format_seq_len(65536) == "64k"
         assert format_seq_len(parse_seq_len("96k")) == "96k"

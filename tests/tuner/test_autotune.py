@@ -1,14 +1,25 @@
 """Auto-tuner: candidate sweep, memory cap, memoizing cache, acceptance."""
 
+import dataclasses
+
 import pytest
 
 from repro.costmodel.memory import RecomputeStrategy
 from repro.experiments.common import METHODS, Workload, run_method
-from repro.schedules.registry import workload_cache_key
-from repro.tuner import CostCache, autotune, enumerate_candidates
-from repro.tuner.autotune import _candidate_key, _workload_key
+from repro.schedules.registry import stable_value_key, workload_cache_key
+from repro.tuner import CostCache, autotune
+from repro.tuner.autotune import _candidate_key, _iter_grid
 
 GIB = float(1 << 30)
+
+
+def grid_points(workload, schedules=None, options=True, fill_budget=False):
+    """The sweep's real grid points (divisor-precluded rows left out)."""
+    return [
+        cand
+        for cand, precluded in _iter_grid(workload, schedules, options, fill_budget)
+        if precluded is None
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +35,7 @@ def small_wl():
 
 class TestEnumeration:
     def test_micro_batch_counts_follow_schedule_divisors(self, small_wl):
-        cands = enumerate_candidates(small_wl)
+        cands = grid_points(small_wl)
         # The divisor tracks the swept fold: 2p for the bound fold=2,
         # p for the fold=1 grid point.
         helix2 = {
@@ -43,14 +54,14 @@ class TestEnumeration:
         assert layerwise == {4, 8}  # multiples of p
 
     def test_recompute_restricted_per_schedule(self, small_wl):
-        cands = enumerate_candidates(small_wl)
+        cands = grid_points(small_wl)
         helix = {c.recompute for c in cands if c.schedule == "helix"}
         assert helix == {RecomputeStrategy.NONE, RecomputeStrategy.WITHOUT_ATTENTION}
         ada = {c.recompute for c in cands if c.schedule == "adapipe"}
         assert ada == {RecomputeStrategy.NONE}
 
     def test_aliases_not_swept(self, small_wl):
-        cands = enumerate_candidates(small_wl)
+        cands = grid_points(small_wl)
         assert not any(c.schedule == "helix-no-recompute" for c in cands)
         # helix-naive is helix x fold=1, which the fold grid now covers.
         assert not any(c.schedule == "helix-naive" for c in cands)
@@ -58,34 +69,15 @@ class TestEnumeration:
             c.schedule == "helix" and c.options == (("fold", 1),) for c in cands
         )
 
-    def test_explicit_inadmissible_strategy_surfaces_as_infeasible(self, small_wl):
-        """A requested strategy outside a schedule's choices is reported,
-        not silently dropped from the sweep."""
-        plans = autotune(
-            small_wl,
-            recomputes=[RecomputeStrategy.FULL],
-            cache=CostCache(),
-            # Exhaustive: this test is about strategy admissibility, and
-            # with pruning on a slow-but-admissible 1f1b x FULL row may
-            # be (correctly) skipped as provably losing.
-            prune=False,
-        )
-        helix = [p for p in plans if p.candidate.schedule == "helix"]
-        assert helix
-        assert all(not p.feasible for p in helix)
-        assert all("not admissible" in (p.reason or "") for p in helix)
-        # Layer-wise schedules model FULL faithfully and still evaluate.
-        assert any(p.feasible and p.candidate.schedule == "1f1b" for p in plans)
-
 
 class TestOptionAxis:
     def test_interleaved_chunk_grid_swept(self, small_wl):
-        cands = enumerate_candidates(small_wl)
+        cands = grid_points(small_wl)
         combos = {c.options for c in cands if c.schedule == "interleaved"}
         assert combos == {(), (("num_chunks_per_stage", 4),)}
 
     def test_zb1p_grid_depends_on_pipeline_size(self, small_wl):
-        cands = enumerate_candidates(small_wl)
+        cands = grid_points(small_wl)
         combos = {c.options for c in cands if c.schedule == "zb1p"}
         # None (the schema default) canonicalises to the empty combo.
         assert combos == {(), (("max_outstanding", small_wl.p),)}
@@ -93,48 +85,17 @@ class TestOptionAxis:
     def test_default_combo_is_canonical_empty_tuple(self, small_wl):
         """A grid value equal to the schema default must not produce a
         second, distinct cache key for the same configuration."""
-        cands = enumerate_candidates(small_wl, schedules=["helix"])
+        cands = grid_points(small_wl, schedules=["helix"])
         fold_combos = {c.options for c in cands}
         assert () in fold_combos  # fold=2, the bound default
         assert (("fold", 2),) not in fold_combos
 
-    def test_option_grids_override_and_disable(self, small_wl):
-        none = enumerate_candidates(small_wl, option_grids={})
+    def test_options_false_disables_the_option_axis(self, small_wl):
+        swept = grid_points(small_wl)
+        none = grid_points(small_wl, options=False)
+        assert any(c.options for c in swept)
         assert all(c.options == () for c in none)
-        custom = enumerate_candidates(
-            small_wl,
-            schedules=["interleaved"],
-            option_grids={"interleaved": {"num_chunks_per_stage": (2, 4, 8)}},
-        )
-        combos = {c.options for c in custom}
-        assert (("num_chunks_per_stage", 8),) in combos
-
-    def test_unknown_option_grid_name_rejected(self, small_wl):
-        with pytest.raises(ValueError, match="not in the option schema"):
-            enumerate_candidates(
-                small_wl,
-                schedules=["1f1b"],
-                option_grids={"1f1b": {"bogus": (1, 2)}},
-            )
-
-    def test_empty_option_grid_values_rejected(self, small_wl):
-        """An empty value sequence would product to zero combos and
-        silently drop the schedule; it must fail loudly instead."""
-        with pytest.raises(ValueError, match="empty value sequence"):
-            enumerate_candidates(
-                small_wl,
-                schedules=["interleaved"],
-                option_grids={"interleaved": {"num_chunks_per_stage": []}},
-            )
-
-    def test_grid_for_unswept_schedule_rejected(self, small_wl):
-        """A typo'd schedule key must fail loudly, not silently run an
-        all-defaults sweep with every registered grid disabled."""
-        with pytest.raises(ValueError, match="name no swept schedule"):
-            enumerate_candidates(
-                small_wl,
-                option_grids={"interleavd": {"num_chunks_per_stage": (2, 4)}},
-            )
+        assert {c.schedule for c in none} == {c.schedule for c in swept}
 
     def test_option_candidates_evaluate(self, small_wl):
         """fold=1 grid points build and rank like any other candidate."""
@@ -163,75 +124,41 @@ class TestDivisorBudgetPreclusion:
         # The fold-1 grid points still fit the budget and evaluate.
         assert any(p.feasible and p.candidate.options == (("fold", 1),) for p in plans)
 
-    def test_enumerate_candidates_excludes_synthetic_rows(self):
+    def test_grid_points_exclude_synthetic_rows(self):
         wl = Workload.paper("7B", "H20", 4, 32768, num_micro_batches=4)
-        cands = enumerate_candidates(wl, schedules=["helix"])
+        cands = grid_points(wl, schedules=["helix"])
         assert all(c.num_micro_batches <= 4 for c in cands)
 
 
 class TestWorkloadKey:
     def test_key_is_value_based_and_stable(self, small_wl):
         other = Workload.paper("7B", "H20", 4, 32768)
-        assert _workload_key(small_wl) == _workload_key(other)
-        assert _workload_key(small_wl) != _workload_key(
+        assert workload_cache_key(small_wl) == workload_cache_key(other)
+        assert workload_cache_key(small_wl) != workload_cache_key(
             Workload.paper("7B", "H20", 4, 65536)
         )
 
     def test_key_contains_no_memory_addresses(self, small_wl):
-        assert " at 0x" not in repr(_workload_key(small_wl))
+        assert " at 0x" not in repr(workload_cache_key(small_wl))
 
-    def test_duck_typed_default_repr_rejected_loudly(self, small_wl):
+    def test_non_dataclass_model_raises_type_error(self, small_wl):
+        """A model object without value fields has no process-stable
+        identity; keying it must fail loudly, not fall back to repr."""
+
         class Opaque:
             pass
 
-        class DuckWorkload:
-            model = Opaque()
-            cluster = small_wl.cluster
-            seq_len = 1024
-            micro_batch = 1
+        with pytest.raises(TypeError, match="cannot derive a stable cache key"):
+            workload_cache_key(dataclasses.replace(small_wl, model=Opaque()))
 
-        with pytest.raises(TypeError, match="memory address"):
-            _workload_key(DuckWorkload())
-
-    def test_cache_key_hook_opts_in(self):
-        class DuckWorkload:
-            def cache_key(self):
-                return ("my-workload", 42)
-
-        assert workload_cache_key(DuckWorkload()) == ("my-workload", 42)
-
-    def test_cache_key_hook_accepts_scalars(self):
-        """A scalar hook return is one key component, not an iterable
-        to splat -- '7B-H20' must not become a tuple of characters."""
-
-        class StringKey:
-            def cache_key(self):
-                return "7B-H20-p8-64k"
-
-        class IntKey:
-            def cache_key(self):
-                return 1234
-
-        assert workload_cache_key(StringKey()) == ("7B-H20-p8-64k",)
-        assert workload_cache_key(IntKey()) == (1234,)
-
-    def test_set_fields_key_order_independently(self):
-        """Set repr order is hash-randomised per process; the key must
-        not depend on it or pool workers would never hit the cache."""
-        from repro.schedules.registry import stable_value_key
-
-        a = stable_value_key(frozenset({"alpha", "beta", "gamma"}))
-        b = stable_value_key(frozenset({"gamma", "alpha", "beta"}))
-        assert a == b
-        assert a[0] == "set"
-
-    def test_mapping_keys_do_not_alias_across_types(self):
-        from repro.schedules.registry import stable_value_key
-
-        assert stable_value_key({1: "x"}) != stable_value_key({"1": "x"})
-        # Mixed-type keys must derive a key, not crash in sorted().
-        mixed = stable_value_key({1: "a", "b": 2})
-        assert mixed[0] == "map"
+    @pytest.mark.parametrize(
+        "value", [(1, 2), {"a": 1}, frozenset({1}), RecomputeStrategy.NONE]
+    )
+    def test_only_primitives_and_dataclasses_have_keys(self, value):
+        """Model and cluster fields are primitives or dataclasses; any
+        other value fails loudly instead of keying by a guess."""
+        with pytest.raises(TypeError, match="cannot derive a stable cache key"):
+            stable_value_key(value)
 
 
 class TestMemoryCap:
@@ -248,15 +175,6 @@ class TestMemoryCap:
         plans = autotune(small_wl, memory_cap_bytes=1 * GIB, cache=CostCache())
         assert all(not p.feasible for p in plans)
         assert all(p.reason for p in plans)
-
-    def test_infeasible_can_be_dropped(self, small_wl):
-        plans = autotune(
-            small_wl,
-            memory_cap_bytes=24 * GIB,
-            cache=CostCache(),
-            include_infeasible=False,
-        )
-        assert plans and all(p.feasible for p in plans)
 
 
 class TestCache:
@@ -277,31 +195,30 @@ class TestCache:
         """Build-error rows carry None metrics (not NaN), so a cached
         sweep still compares equal to its cold run."""
         shared = CostCache()
-        kw = dict(
-            schedules=["helix"],
-            micro_batch_counts=[6],  # not a multiple of 2p: build error
-            cache=shared,
-        )
-        cold = autotune(small_wl, **kw)
-        warm = autotune(small_wl, **kw)
+        # AdaPipe plans under the cap itself; 1 GiB leaves it no plan.
+        kw = dict(schedules=["adapipe"], cache=shared)
+        cold = autotune(small_wl, 1 * GIB, **kw)
+        warm = autotune(small_wl, 1 * GIB, **kw)
         assert cold and not cold[0].feasible
         assert cold[0].iteration_time is None
-        assert "multiple" in cold[0].reason
+        assert "no feasible plan under the memory cap" in cold[0].reason
         assert warm == cold
+        assert shared.stats.hits == len(warm)
 
     def test_key_distinguishes_caps(self, small_wl):
-        c1 = enumerate_candidates(small_wl)[0]
-        assert _candidate_key(small_wl, c1, 1.0) != _candidate_key(small_wl, c1, 2.0)
+        c1 = grid_points(small_wl)[0]
+        wkey = workload_cache_key(small_wl)
+        assert _candidate_key(wkey, c1, 1.0) != _candidate_key(wkey, c1, 2.0)
 
 
 class TestFillBudgetParity:
     """fill_budget=True must pick the plan an exhaustive sweep picks."""
 
-    KW = dict(schedules=["1f1b", "helix", "zb1p"], recomputes="defaults")
+    KW = dict(schedules=["1f1b", "helix", "zb1p"])
 
     def test_candidates_are_the_max_divisor_multiples(self, small_wl):
-        full = enumerate_candidates(small_wl, **self.KW)
-        filled = enumerate_candidates(small_wl, fill_budget=True, **self.KW)
+        full = grid_points(small_wl, **self.KW)
+        filled = grid_points(small_wl, fill_budget=True, **self.KW)
         # One candidate per (schedule, recompute, options) combination...
         combo = lambda c: (c.schedule, c.recompute, c.options)
         assert len(filled) == len({combo(c) for c in full})

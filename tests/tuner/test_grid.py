@@ -1,10 +1,9 @@
 """Workload-grid tuning: tune_grid ranking, reporting and cache reuse."""
 
-import pytest
-
 from repro.analysis.tuner_view import format_grid_table, grid_plan_rows
-from repro.tuner import CostCache, enumerate_candidates, tune_grid
+from repro.tuner import CostCache, tune_grid
 from repro.workloads import Workload, WorkloadGrid
+from tests.tuner.test_autotune import grid_points
 
 def small_grid(**kw):
     """Small/fast grid: 1.3B on H20, two sequence lengths, one pipeline size."""
@@ -22,8 +21,8 @@ def small_grid(**kw):
 class TestFillBudget:
     def test_single_count_per_combo(self):
         wl = Workload.paper("1.3B", "H20", 2, 16384, num_micro_batches=9)
-        cands = enumerate_candidates(
-            wl, schedules=["1f1b"], option_grids={}, fill_budget=True
+        cands = grid_points(
+            wl, schedules=["1f1b"], options=False, fill_budget=True
         )
         # One micro-batch count -- the largest multiple of the divisor
         # (p=2) under the budget of 9 -- instead of the 1f1b sweep 2,4,6,8.
@@ -31,14 +30,14 @@ class TestFillBudget:
 
     def test_sweep_mode_unchanged(self):
         wl = Workload.paper("1.3B", "H20", 2, 16384, num_micro_batches=9)
-        cands = enumerate_candidates(wl, schedules=["1f1b"], option_grids={})
+        cands = grid_points(wl, schedules=["1f1b"], options=False)
         assert {c.num_micro_batches for c in cands} == {2, 4, 6, 8}
 
 
 class TestTuneGrid:
     def test_spans_points_and_ranks_by_throughput(self):
         plans = tune_grid(small_grid(), schedules=["1f1b", "helix"],
-                          option_grids={}, cache=CostCache())
+                          options=False, cache=CostCache())
         feasible = [r for r in plans if r.feasible]
         assert feasible, "expected feasible plans"
         # Rows span multiple workload points.
@@ -55,7 +54,7 @@ class TestTuneGrid:
 
     def test_budget_fixes_micro_batches_per_point(self):
         plans = tune_grid(small_grid(), schedules=["1f1b"],
-                          option_grids={}, cache=CostCache())
+                          options=False, cache=CostCache())
         for r in plans:
             if r.plan is None:
                 continue
@@ -65,7 +64,7 @@ class TestTuneGrid:
 
     def test_dead_point_reported_with_reason(self):
         grid = small_grid(seq_lens=(16384, 1 << 21))
-        plans = tune_grid(grid, schedules=["1f1b"], option_grids={},
+        plans = tune_grid(grid, schedules=["1f1b"], options=False,
                           cache=CostCache())
         dead = [r for r in plans if r.plan is None]
         assert len(dead) == 1
@@ -77,7 +76,7 @@ class TestTuneGrid:
         # Budget of 2 micro batches at 16k; helix needs fold*p == 4.
         grid = small_grid(seq_lens=(16384,), budget_tokens=2 << 14)
         plans = tune_grid(grid, schedules=["1f1b", "helix"],
-                          option_grids={}, cache=CostCache())
+                          options=False, cache=CostCache())
         precluded = [
             r
             for r in plans
@@ -86,39 +85,15 @@ class TestTuneGrid:
         assert precluded, "helix divisor preclusion must be a row, not a gap"
         assert all(r.plan.candidate.schedule == "helix" for r in precluded)
 
-    def test_recomputes_unknown_string_rejected(self):
-        with pytest.raises(ValueError, match="only string mode is 'defaults'"):
-            tune_grid(small_grid(), schedules=["1f1b"],
-                      recomputes="none", cache=CostCache())
-
-    def test_recomputes_defaults_runs_each_schedule_once(self):
-        plans = tune_grid(small_grid(seq_lens=(16384,)),
-                          schedules=["1f1b", "helix"], recomputes="defaults",
-                          option_grids={}, cache=CostCache())
-        cands = [r.plan.candidate for r in plans if r.plan is not None]
-        assert len(cands) == 2  # one row per method, paper defaults only
-        by_name = {c.schedule: c.recompute for c in cands}
-        from repro.costmodel.memory import RecomputeStrategy
-        from repro.schedules.registry import get_schedule
-
-        assert by_name["1f1b"] == get_schedule("1f1b").default_recompute
-        assert by_name["helix"] == RecomputeStrategy.WITHOUT_ATTENTION
-
-    def test_include_infeasible_false_drops_reasons(self):
-        grid = small_grid(seq_lens=(16384, 1 << 21))
-        plans = tune_grid(grid, schedules=["1f1b"], option_grids={},
-                          cache=CostCache(), include_infeasible=False)
-        assert plans and all(r.feasible for r in plans)
-
     def test_shared_cache_warms_every_point(self):
         cache = CostCache()
         grid = small_grid()
         first = tune_grid(grid, schedules=["1f1b", "helix"],
-                          option_grids={}, cache=cache)
+                          options=False, cache=cache)
         misses = cache.stats.misses
         assert misses > 0
         again = tune_grid(grid, schedules=["1f1b", "helix"],
-                          option_grids={}, cache=cache)
+                          options=False, cache=cache)
         assert cache.stats.misses == misses, "second sweep must be all hits"
         assert [r.label for r in again] == [r.label for r in first]
 
@@ -127,7 +102,7 @@ class TestGridView:
     def test_table_includes_point_columns_and_reasons(self):
         grid = small_grid(seq_lens=(16384, 1 << 21))
         plans = tune_grid(grid, schedules=["1f1b", "helix"],
-                          option_grids={}, cache=CostCache())
+                          options=False, cache=CostCache())
         rows = grid_plan_rows(plans)
         assert {"rank", "seq_len", "pp", "mb", "schedule", "status"} <= set(rows[0])
         text = format_grid_table(plans)

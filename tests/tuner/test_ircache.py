@@ -13,15 +13,17 @@ import pytest
 
 from repro.costmodel.memory import RecomputeStrategy
 from repro.schedules.ir import Schedule
+from repro.schedules.registry import workload_cache_key
 from repro.tuner import (
     CostCache,
     ScheduleIRCache,
     SweepTelemetry,
     autotune,
-    enumerate_candidates,
     tune_grid,
 )
+from repro.tuner.autotune import _cold_evaluate, _EvalContext, _to_plan_result
 from repro.workloads import Workload, WorkloadGrid
+from tests.tuner.test_autotune import grid_points
 
 WL = Workload.paper("1.3B", "H20", 4, 8192)
 
@@ -47,12 +49,12 @@ class TestKeys:
     def test_no_structural_collisions_across_the_grid(self):
         # Every enumerated candidate -- including every option-grid
         # point -- must map to its own cache slot.
-        cands = enumerate_candidates(WL)
+        cands = grid_points(WL)
         keys = {_ir_key(c) for c in cands}
         assert len(keys) == len(cands)
 
     def test_recompute_separates_keys(self):
-        cands = enumerate_candidates(WL, schedules=["helix"])
+        cands = grid_points(WL, schedules=["helix"])
         by_rest = {}
         for c in cands:
             rest = (c.schedule, c.num_micro_batches, c.options)
@@ -64,7 +66,7 @@ class TestKeys:
             assert len(keys) == n_rc, rest
 
     def test_workload_and_cap_separate_keys(self):
-        c = enumerate_candidates(WL)[0]
+        c = grid_points(WL)[0]
         assert _ir_key(c, wkey=("a",)) != _ir_key(c, wkey=("b",))
         assert _ir_key(c, cap=1.0) != _ir_key(c, cap=2.0)
 
@@ -131,20 +133,24 @@ class TestSweepEquivalence:
 
     def test_shared_cache_across_recomputes_no_false_hits(self):
         # A cache warmed by one recompute strategy must never serve
-        # another strategy's build: sweeping them together from one
-        # cache must match sweeping each alone without any cache.
-        shared = ScheduleIRCache()
+        # another strategy's build: every row of a helix sweep over both
+        # its strategies from one IR cache must match evaluating that
+        # candidate alone, with no IR cache and no incremental resume.
         together = _rows(
-            schedules=["helix"],
-            recomputes=[RecomputeStrategy.NONE,
-                        RecomputeStrategy.WITHOUT_ATTENTION],
-            ir_cache=shared,
+            schedules=["helix"], ir_cache=ScheduleIRCache(), prune=False
         )
-        for rc in (RecomputeStrategy.NONE, RecomputeStrategy.WITHOUT_ATTENTION):
-            alone = _rows(schedules=["helix"], recomputes=[rc],
-                          ir_cache=None, incremental=False)
-            for row in alone:
-                assert row in together, row.label
+        assert {r.candidate.recompute for r in together} == {
+            RecomputeStrategy.NONE,
+            RecomputeStrategy.WITHOUT_ATTENTION,
+        }
+        cap = float(WL.cluster.node.gpu.hbm_bytes)
+        cands = [r.candidate for r in together]
+        uncached = _EvalContext(
+            WL, cap, workload_cache_key(WL), cands, incremental=False
+        )
+        for row in together:
+            record = _cold_evaluate(uncached, row.candidate)
+            assert _to_plan_result(WL, row.candidate, record, cap) == row, row.label
 
 
 class TestTelemetry:

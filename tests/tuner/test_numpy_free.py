@@ -50,12 +50,6 @@ class TestScalarBounds:
     def test_empty_candidates_returns_empty_list(self, wl, no_numpy):
         assert throughput_upper_bounds(wl, []) == []
 
-    def test_unpriceable_workload_still_returns_none(self, no_numpy):
-        class Duck:
-            pass
-
-        assert throughput_upper_bounds(Duck(), [object()]) is None
-
 
 _SUBPROCESS_SCRIPT = r"""
 import importlib.abc
@@ -86,11 +80,13 @@ else:
 # numpy-free surface is workloads + tuner + lint.
 from repro.workloads import Workload
 from repro.lint import lint_schedules
-from repro.tuner import CostCache, autotune, enumerate_candidates
+from repro.tuner import CostCache, autotune
+from repro.tuner.autotune import _iter_grid
 from repro.tuner.bounds import throughput_upper_bounds
 
 wl = Workload.paper("1.3B", "H20", 2, 8192)
-bounds = throughput_upper_bounds(wl, enumerate_candidates(wl))
+grid = [c for c, precluded in _iter_grid(wl, None, True, False) if precluded is None]
+bounds = throughput_upper_bounds(wl, grid)
 cache = CostCache()
 plans = autotune(wl, cache=cache)
 best = plans[0]

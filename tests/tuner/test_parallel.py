@@ -9,9 +9,11 @@ sweep against a persisted cache performs zero cold evaluations
 import pytest
 
 from repro.experiments.common import Workload
+from repro.schedules.registry import workload_cache_key
 from repro.tuner import CostCache, SqliteCostStore, autotune
-from repro.tuner.autotune import _candidate_key, enumerate_candidates
+from repro.tuner.autotune import _candidate_key
 from repro.tuner.worker import evaluate_chunk
+from tests.tuner.test_autotune import grid_points
 
 
 @pytest.fixture(scope="module")
@@ -53,9 +55,10 @@ class TestParallelEquivalence:
     def test_worker_chunk_records_use_the_caller_keys(self, wl):
         """A worker returns one record per candidate, under the caller's key."""
         cap = float(wl.cluster.node.gpu.hbm_bytes)
-        cands = enumerate_candidates(wl, schedules=["1f1b"])[:2]
+        cands = grid_points(wl, schedules=["1f1b"])[:2]
         records = evaluate_chunk(wl, cap, cands)
-        assert set(records) == {_candidate_key(wl, cand, cap) for cand in cands}
+        wkey = workload_cache_key(wl)
+        assert set(records) == {_candidate_key(wkey, cand, cap) for cand in cands}
 
 
 def _persist(cache, path):

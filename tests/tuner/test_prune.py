@@ -114,31 +114,3 @@ class TestDeterminism:
         # the serial replay simulated.
         assert len(cache) == len(serial_cache)
         assert cache.stats.misses == serial_cache.stats.misses
-
-    def test_unpriceable_workload_disables_pruning(self, wl):
-        """A workload the closed-form model cannot price sweeps
-        exhaustively instead of guessing bounds."""
-
-        class DuckWorkload:
-            p = wl.p
-            num_micro_batches = wl.num_micro_batches
-            micro_batch = wl.micro_batch
-            seq_len = wl.seq_len
-            cluster = wl.cluster
-            model = None  # unpriceable: no hidden size / layer count
-
-            def costs(self, recompute):
-                return wl.costs(recompute)
-
-            def static_memory(self):
-                return wl.static_memory()
-
-            def cache_key(self):
-                return ("duck-7B-H20-p8-64k",)
-
-        cache = CostCache()
-        plans = autotune(
-            DuckWorkload(), schedules=["1f1b", "helix"], cache=cache
-        )
-        assert cache.stats.pruned == 0
-        assert any(p.feasible for p in plans)
