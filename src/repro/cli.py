@@ -127,6 +127,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import os
 import sys
 import time
@@ -435,8 +436,10 @@ def _schedule_workload(args: argparse.Namespace) -> Workload:
             k: v for k, v in (args.option or []) if k in spec.options
         }
         rounded = spec.round_micro_batches(wl.num_micro_batches, wl.p, **opts)
-        wl.num_micro_batches = rounded or spec.micro_batch_divisor(
-            wl.p, **opts
+        # A new Workload, so the rounded budget is checked against the cap.
+        wl = dataclasses.replace(
+            wl,
+            num_micro_batches=rounded or spec.micro_batch_divisor(wl.p, **opts),
         )
     print(f"workload: {_describe_workload(wl)}")
     return wl
@@ -715,8 +718,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         )
 
     if args.cache:
-        saved = cache.save()
-        print(f"cache: saved {saved} entries to {args.cache}")
+        print(f"cache: saved {len(cache)} entries to {args.cache}")
     return 0 if found else 1
 
 
@@ -749,8 +751,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         signal.signal(signal.SIGTERM, previous)
         server.server_close()
-        # Drains background sweeps, persists the cache and closes the
-        # store's sqlite connections.
+        # Drains background sweeps and closes the store's sqlite
+        # connections; every evaluation was written through already.
         saved = service.close()
         if saved is not None:
             print(f"cache: saved {saved} entries to {args.cache}")

@@ -296,11 +296,12 @@ class PlannerService:
     Parameters
     ----------
     cache:
-        The shared :class:`CostCache` (typically attached to a sqlite
-        store via :meth:`CostCache.open`, so evaluations persist and
-        concurrent processes share them).  Background sweeps and
-        :meth:`close` flush it to its store (:meth:`CostCache.save`).
-        Defaults to a fresh in-memory cache.
+        The shared :class:`CostCache` (typically over a sqlite store via
+        :meth:`CostCache.open`, so evaluations persist and concurrent
+        processes share them).  Every cold evaluation is written
+        through to the store as it happens, so neither background
+        sweeps nor :meth:`close` have anything to flush.  Defaults to a
+        fresh in-memory cache.
     workers:
         Process-pool size for cold candidate evaluation *within* one
         sweep (``autotune(..., workers=N)``); None evaluates serially.
@@ -515,7 +516,6 @@ class PlannerService:
             record["candidates"] = len(plans)
             record["state"] = "done"
             self.telemetry.record_sweep("completed")
-            self.cache.save()
         except Exception as err:  # surfaced via /v1/sweeps, not a crash
             record["error"] = str(err)
             record["state"] = "failed"
@@ -535,12 +535,11 @@ class PlannerService:
 
         Rejects new sweeps, joins every live sweep thread (bounded by
         ``timeout`` seconds each -- sweeps are daemon threads, so a
-        stuck one is abandoned rather than hanging shutdown forever),
-        flushes the cache to its store a final time and closes the
-        store's sqlite connections.  Idempotent; the HTTP layer calls it
-        from signal handling so a SIGTERM'd service never dies
-        mid-write.  Returns the store's entry count after the flush
-        (None for an in-memory cache).
+        stuck one is abandoned rather than hanging shutdown forever)
+        and closes the store's sqlite connections.  Idempotent; the
+        HTTP layer calls it from signal handling so a SIGTERM'd service
+        never dies mid-write.  Returns the store's entry count, read
+        after the joins (None for an in-memory cache).
         """
         with self._inflight_lock:
             self._closed = True
@@ -548,7 +547,7 @@ class PlannerService:
             self._threads = []
         for thread in threads:
             thread.join(timeout)
-        saved = self.cache.save()
+        saved = None if self.cache.store is None else len(self.cache.store)
         self.cache.close()
         return saved
 

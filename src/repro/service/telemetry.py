@@ -2,9 +2,9 @@
 
 :class:`ServiceTelemetry` is the request-side companion of
 :class:`repro.tuner.telemetry.SweepTelemetry` and follows the same
-shape discipline -- a flat counter dataclass with ``as_dict()`` /
-``reset()`` -- so the ``/v1/stats`` payload nests both without
-translation: request counters here, per-phase sweep wall-clock there.
+shape discipline -- a flat counter dataclass with ``as_dict()`` -- so
+the ``/v1/stats`` payload nests both without translation: request
+counters here, per-phase sweep wall-clock there.
 
 Unlike its tuner sibling (which is fed by one serial sweep at a time),
 this object is incremented from every handler thread of the
@@ -86,12 +86,3 @@ class ServiceTelemetry:
                 "sweeps_failed": self.sweeps_failed,
                 "by_endpoint": dict(self.by_endpoint),
             }
-
-    def reset(self) -> None:
-        with self._lock:
-            self.requests = self.errors = 0
-            self.plans = self.plans_cold = 0
-            self.plans_warm = self.plans_coalesced = 0
-            self.plan_s = 0.0
-            self.sweeps_started = self.sweeps_completed = self.sweeps_failed = 0
-            self.by_endpoint.clear()

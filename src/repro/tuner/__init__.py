@@ -5,10 +5,11 @@ strategy x micro-batch count x schedule-option grid) for the fastest
 plan that fits a memory cap, using the discrete-event simulator as the
 evaluator behind a memoizing cost cache.  Sweeps scale out
 (``autotune(..., workers=N)`` evaluates cold candidates in a process
-pool) and persist (:meth:`CostCache.open` attaches a sqlite store that
-every evaluation is written through, stamped with a cost-model
-fingerprint, so editing the cost model invalidates stale stores), and
-the whole subsystem is scriptable from the shell via
+pool) and persist (:meth:`CostCache.open` builds a cache over a sqlite
+store, stamped with a cost-model fingerprint so editing the cost model
+invalidates stale stores; a sweep reads it once, in one batched query,
+and writes every cold evaluation through, so nothing is flushed
+afterwards), and the whole subsystem is scriptable from the shell via
 ``python -m repro tune``.
 
 >>> from repro.workloads import Workload

@@ -10,19 +10,21 @@ discrete-event simulator.
 The cache is a plain dict keyed on that tuple; entries are the raw
 evaluation records (simulated metrics or the build-failure reason), so a
 hit reproduces the cold result exactly.  :meth:`CostCache.open` makes it
-**persistent**: it attaches a :class:`repro.tuner.store.SqliteCostStore`
-(indexed lazy lookup, WAL-mode concurrent writers, 100k+ entries) that
-serves lookup misses and receives every cold evaluation write-through,
-so repeated CLI sweeps, concurrent processes and the planner service
-share one store.  Candidate keys are stable nested tuples of primitives
-(see :func:`repro.schedules.registry.workload_cache_key`).  Stores are
+**persistent** over a :class:`repro.tuner.store.SqliteCostStore`
+(indexed lazy lookup, WAL-mode concurrent writers, 100k+ entries): a
+sweep reads the store once, in one batched query for all its keys
+(:meth:`CostCache.fetch_many`), and every cold evaluation is written
+through, so repeated CLI sweeps, concurrent processes and the planner
+service share one store and nothing is flushed at the end.  Candidate
+keys are stable nested tuples of primitives (see
+:func:`repro.schedules.registry.workload_cache_key`).  Stores are
 stamped with a cost-model source fingerprint
 (:func:`costmodel_fingerprint`); opening a store written by a different
 cost model warns and clears it instead of serving stale records.
 
-:class:`CacheStats` distinguishes *memory* hits (entries evaluated or
-adopted in this process) from *disk* hits (entries read off the attached
-store), so a sweep can assert "zero cold evaluations" after a reopen.
+:class:`CacheStats` distinguishes *memory* hits (entries evaluated in
+this process) from *disk* hits (entries read off the store), so a sweep
+can assert "zero cold evaluations" after a reopen.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
 
 if TYPE_CHECKING:  # repro.tuner.store imports this module; avoid the cycle
@@ -113,12 +115,12 @@ def costmodel_fingerprint() -> str:
 class CacheStats:
     """Hit/miss counters of one :class:`CostCache`.
 
-    ``hits`` counts lookups served from entries created in-process
-    (evaluated or adopted); ``disk_hits`` counts lookups served from
-    entries read off the attached store.  ``misses`` counts cold
-    evaluations.  ``pruned`` counts candidates the auto-tuner's
-    admissible lower bound skipped without simulating (they never touch
-    the cache, so they appear in no other counter).
+    ``hits`` counts lookups served from entries evaluated in-process;
+    ``disk_hits`` counts lookups served from entries read off the
+    store.  ``misses`` counts cold evaluations.  ``pruned`` counts
+    candidates the auto-tuner's admissible lower bound skipped without
+    simulating (they never touch the cache, so they appear in no other
+    counter).
     """
 
     hits: int = 0
@@ -144,17 +146,16 @@ class CacheStats:
         return f"{self.total_hits} hits{disk} / {self.misses} misses{pruned}"
 
 
-@dataclass
 class CostCache:
     """Dict-backed memoization of candidate evaluations.
 
-    With a :class:`~repro.tuner.store.SqliteCostStore` attached
-    (:meth:`open` / :meth:`attach_store`), the dict becomes a hot layer
-    over the lazy on-disk store: lookups fall through to one indexed
-    sqlite query (a sweep reads all its keys at once through
-    :meth:`fetch_many`), fetched entries count as disk hits, and cold
-    evaluations write through so concurrent processes sharing the store
-    see them immediately.
+    With a :class:`~repro.tuner.store.SqliteCostStore` (:meth:`open`),
+    the dict holds only records the store already has.  A record enters
+    it one of two ways: from :meth:`fetch_many`, the one batched store
+    read a sweep makes for all its keys, or from a cold evaluation in
+    :meth:`get_or_eval` once its write-through ``put`` has returned.
+    So nothing is left to flush, and :meth:`get_or_eval` and
+    :meth:`peek` never touch the store.
 
     The cache is thread-safe: the threaded planner service shares one
     instance between request handlers and background sweeps.  ``_lock``
@@ -167,77 +168,48 @@ class CostCache:
     serializes sweeps anyway).
     """
 
-    _data: dict[Hashable, Any] = field(default_factory=dict)  # guarded-by: _lock
-    stats: CacheStats = field(default_factory=CacheStats)
-    #: Keys whose entries came off a persisted store (for stats only).
-    _disk_keys: set[Hashable] = field(default_factory=set)  # guarded-by: _lock
-    #: Keys in ``_data`` not known to be in ``store`` (adopted, held
-    #: before the store was attached, or evaluated and not yet written
-    #: through); the only keys :meth:`__len__` has to probe the store
-    #: for, and the only ones :meth:`save` writes to it.
-    _unstored: set[Hashable] = field(default_factory=set)  # guarded-by: _lock
-    #: Lazy on-disk store; None for a purely in-memory cache.
-    store: "SqliteCostStore | None" = None
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
+    def __init__(self, store: "SqliteCostStore | None" = None) -> None:
+        #: Lazy on-disk store; None for a purely in-memory cache.
+        self.store = store
+        self.stats = CacheStats()
+        self._data: dict[Hashable, Any] = {}  # guarded-by: _lock
+        #: Keys whose records came off the store (for stats only).
+        self._disk_keys: set[Hashable] = set()  # guarded-by: _lock
+        self._lock = threading.Lock()
 
     def get_or_eval(self, key: Hashable, evaluate: Callable[[], Any]) -> Any:
-        """Return the cached value for ``key``, evaluating on first use."""
+        """Return the cached value for ``key``, evaluating on first use.
+
+        A cold record is written through to the store before it is held
+        or counted, so a concurrent process sharing the store (another
+        sweep, the planner service) can reuse it at once, and a ``put``
+        that raises leaves the key unheld for the next call to evaluate.
+        """
         with self._lock:
             if key in self._data:
-                value = self._data[key]
                 if key in self._disk_keys:
                     self.stats.disk_hits += 1
                 else:
                     self.stats.hits += 1
-                return value
-            store = self.store
-        if store is not None:
-            value = store.get(key)
-            if value is not None:
-                with self._lock:
-                    self._data[key] = value
-                    self._disk_keys.add(key)
-                    self.stats.disk_hits += 1
-                return value
+                return self._data[key]
         value = evaluate()
+        if self.store is not None:
+            self.store.put(key, value)
         with self._lock:
             self.stats.misses += 1
             self._data[key] = value
-            if store is not None:
-                self._unstored.add(key)
-        if store is not None:
-            # Write-through: a concurrent process sharing the store
-            # (another sweep, the planner service) can reuse this
-            # evaluation without waiting for an explicit save().  The
-            # key stays unstored until the put returns, so a save()
-            # after a failed put still writes it.
-            store.put(key, value)
-            with self._lock:
-                self._unstored.discard(key)
         return value
 
     def peek(self, key: Hashable) -> Any:
-        """Return the cached value without touching the hit counters."""
+        """Return the held value without touching the hit counters."""
         with self._lock:
-            if key in self._data:
-                return self._data[key]
-            store = self.store
-        if store is not None:
-            value = store.get(key)
-            if value is not None:
-                with self._lock:
-                    self._data[key] = value
-                    self._disk_keys.add(key)
-                return value
-        raise KeyError(key)
+            return self._data[key]
 
     def fetch_many(self, keys: Iterable[Hashable]) -> set[Hashable]:
         """The subset of ``keys`` this cache holds, in memory or in the store.
 
-        Keys missing from memory are read from an attached store in one
-        batched query (:meth:`SqliteCostStore.get_many
+        Keys missing from memory are read from the store in one batched
+        query (:meth:`SqliteCostStore.get_many
         <repro.tuner.store.SqliteCostStore.get_many>`, run outside
         ``_lock``); the records found are loaded into memory as disk
         entries, so later :meth:`get_or_eval` calls on them are memory
@@ -246,11 +218,10 @@ class CostCache:
         keys = list(keys)
         with self._lock:
             held = {key for key in keys if key in self._data}
-            store = self.store
         missing = [key for key in keys if key not in held]
-        if store is None or not missing:
+        if self.store is None or not missing:
             return held
-        found = store.get_many(missing)
+        found = self.store.get_many(missing)
         with self._lock:
             for key, value in found.items():
                 if key not in self._data:
@@ -259,41 +230,9 @@ class CostCache:
         held.update(found)
         return held
 
-    def adopt(self, key: Hashable, value: Any) -> None:
-        """Insert an externally-evaluated entry (no stats recorded)."""
-        with self._lock:
-            self._data[key] = value
-            self._unstored.add(key)
-
-    def entries(self) -> list[tuple[Hashable, Any]]:
-        """``(key, record)`` pairs as a point-in-time snapshot list."""
-        with self._lock:
-            return list(self._data.items())
-
-    # -- persistence ---------------------------------------------------------
-
-    def save(self) -> int | None:
-        """Flush to the attached store the entries it may lack.
-
-        Evaluations are written through as they happen and fetched
-        entries came off the store, so only the ``_unstored`` keys are
-        upserted, in one transaction.  Returns the store's entry count,
-        or None when no store is attached.
-        """
-        store = self.store
-        if store is None:
-            return None
-        with self._lock:
-            items = [(key, self._data[key]) for key in self._unstored]
-        if items:
-            store.put_many(iter(items))
-            with self._lock:
-                self._unstored.difference_update(key for key, _ in items)
-        return len(store)
-
     @classmethod
     def open(cls, path: str | os.PathLike) -> "CostCache":
-        """A cache attached to the sqlite store at ``path``.
+        """A cache over the sqlite store at ``path``.
 
         The front door of ``repro tune --cache`` and ``repro serve
         --cache``.  The store (and its parent directories) is created
@@ -303,52 +242,31 @@ class CostCache:
         """
         from repro.tuner.store import SqliteCostStore
 
-        cache = cls()
-        cache.attach_store(SqliteCostStore(path))
-        return cache
-
-    def attach_store(self, store: "SqliteCostStore") -> None:
-        """Serve lookup misses from ``store`` and write evaluations through."""
-        with self._lock:
-            self.store = store
-            # Nothing held so far is known to be in the new store.
-            self._unstored = set(self._data)
+        return cls(SqliteCostStore(path))
 
     def close(self) -> None:
-        """Close an attached store's connections (no-op without one).
+        """Close the store's connections (no-op without one).
 
         The in-memory layer stays usable; the store reconnects lazily if
         the cache is used again, so close() is safe to call from service
         shutdown even with stray in-flight requests.
         """
-        store = self.store
-        if store is not None:
-            store.close()
-
-    def clear(self) -> None:
-        """Drop the in-memory layer (an attached store is left untouched)."""
-        with self._lock:
-            self._data.clear()
-            self._disk_keys.clear()
-            self._unstored.clear()
-            self.stats = CacheStats()
+        if self.store is not None:
+            self.store.close()
 
     def __len__(self) -> int:
-        """Distinct entries reachable through this cache (memory + store)."""
-        # Evaluated entries are written through and fetched ones came off
-        # the store, so only the _unstored keys can be memory-only; probe
-        # just those, outside _lock, so nothing is counted twice.
+        """Distinct entries reachable through this cache.
+
+        Every held record is in the store, so this is the store's count,
+        or the dict's size without a store.
+        """
+        if self.store is not None:
+            return len(self.store)
         with self._lock:
-            store = self.store
-            if store is None:
-                return len(self._data)
-            unstored = list(self._unstored)
-        extra = sum(1 for key in unstored if key not in store)
-        return len(store) + extra
+            return len(self._data)
 
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
             if key in self._data:
                 return True
-            store = self.store
-        return store is not None and key in store
+        return self.store is not None and key in self.store

@@ -7,10 +7,10 @@ grows past 100k entries while background sweeps and out-of-process
 tuners keep appending, and it carries a CLI sweep's evaluations from one
 run to the next:
 
-- **Lazy, indexed lookup** -- entries stay on disk; a cache miss costs
-  one point query against the primary-key index, not a full-store parse,
-  and a whole sweep's candidates are read in one batched query
-  (:meth:`SqliteCostStore.get_many`).
+- **Lazy, indexed lookup** -- entries stay on disk, and a whole sweep's
+  candidates are read in one batched query against the primary-key
+  index (:meth:`SqliteCostStore.get_many`), not a full-store parse.
+  A cache never reads the store per key.
 - **Concurrent writers** -- WAL journal mode plus a generous busy
   timeout let several processes (CLI sweeps, service workers) write the
   same store without corrupting it; records are deterministic in their
@@ -21,9 +21,11 @@ run to the next:
   of serving records a cost-model edit invalidated.
 
 :meth:`CostCache.open <repro.tuner.cache.CostCache.open>` is the front
-door that wires a store into a cache, whatever the path's suffix.  A
-file that is not a cost cache store is refused with a
-:class:`ValueError` and left as it was.
+door that builds a cache over a store, whatever the path's suffix.  The
+cache writes every cold evaluation through with
+:meth:`SqliteCostStore.put`, so there is nothing to flush.  A file that
+is not a cost cache store is refused with a :class:`ValueError` and
+left as it was.
 
 Keys are the tuner's canonical nested primitive tuples
 (:func:`repro.schedules.registry.workload_cache_key` products); they
@@ -230,13 +232,6 @@ class SqliteCostStore:
                     "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
                     ("costmodel", current),
                 )
-
-    @property
-    def fingerprint(self) -> str:
-        row = self._conn.execute(
-            "SELECT value FROM meta WHERE key = 'costmodel'"
-        ).fetchone()
-        return row[0] if row else ""
 
     # -- entries ----------------------------------------------------------
 

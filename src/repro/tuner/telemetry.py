@@ -65,9 +65,3 @@ class SweepTelemetry:
             "incremental_hits": self.incremental_hits,
             "incremental_fallbacks": self.incremental_fallbacks,
         }
-
-    def reset(self) -> None:
-        self.build_s = self.simulate_s = self.bound_s = self.eval_s = 0.0
-        self.candidates = self.built = self.simulated = 0
-        self.build_cache_hits = self.references_recorded = 0
-        self.incremental_hits = self.incremental_fallbacks = 0

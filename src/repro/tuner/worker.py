@@ -2,8 +2,7 @@
 
 :func:`evaluate_chunk` is the unit of work :func:`repro.tuner.autotune`
 ships to a :class:`concurrent.futures.ProcessPoolExecutor`: it cold-
-evaluates a chunk of candidates into a fresh per-worker
-:class:`~repro.tuner.cache.CostCache` and returns its records, which
+evaluates a chunk of candidates and returns their records by key, which
 the parent's serial walk feeds through its own cache's
 :meth:`~repro.tuner.cache.CostCache.get_or_eval`.  Everything crossing
 the process boundary -- the workload (plain dataclasses), the
@@ -23,7 +22,6 @@ from __future__ import annotations
 from typing import Any, Hashable, Sequence
 
 from repro.schedules.registry import workload_cache_key
-from repro.tuner.cache import CostCache
 
 __all__ = ["evaluate_chunk"]
 
@@ -36,9 +34,9 @@ def evaluate_chunk(
 ) -> dict[Hashable, Any]:
     """Cold-evaluate ``candidates``; returns their records by cache key.
 
-    The parent only ships keys its cache does not hold, and replays the
-    returned records through its own cache, so hit/miss accounting
-    happens there.
+    The parent only ships distinct keys its cache does not hold, and
+    replays the returned records through its own cache, so hit/miss
+    accounting happens there.
 
     Each worker owns a private :class:`~repro.tuner.ircache.ScheduleIRCache`
     (built IR and simulation references do not pickle across the pool
@@ -56,7 +54,6 @@ def evaluate_chunk(
     )
     from repro.tuner.ircache import ScheduleIRCache
 
-    local = CostCache()
     wkey = workload_cache_key(workload)
     ctx = _EvalContext(
         workload,
@@ -67,9 +64,7 @@ def evaluate_chunk(
         incremental=incremental,
     )
     with _gc_paused():
-        for cand in candidates:
-            local.get_or_eval(
-                _candidate_key(wkey, cand, memory_cap_bytes),
-                lambda c=cand: _cold_evaluate(ctx, c),
-            )
-    return dict(local.entries())
+        return {
+            _candidate_key(wkey, cand, memory_cap_bytes): _cold_evaluate(ctx, cand)
+            for cand in candidates
+        }

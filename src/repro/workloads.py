@@ -16,9 +16,10 @@ Two layers live here:
   of ``seq_len x pipeline_size`` points under a fixed token budget per
   iteration (production training fixes tokens/iteration, so longer
   sequences mean fewer micro batches).  Points whose budget cannot fit
-  even one micro batch are enumerated as *infeasible points with a
-  reason*, never silently dropped -- the same reporting discipline the
-  tuner applies to divisor-precluded candidates.
+  even one micro batch, or exceeds :data:`MAX_MICRO_BATCHES`, are
+  enumerated as *infeasible points with a reason*, never silently
+  dropped -- the same reporting discipline the tuner applies to
+  divisor-precluded candidates.
 
 Shape strings accept binary suffixes: ``64k`` == 65536 sequence tokens,
 ``--budget-tokens 1M`` == ``1 << 20`` tokens per iteration (matching the
@@ -43,6 +44,7 @@ from repro.schedules.registry import (
 
 __all__ = [
     "GPU_CLUSTERS",
+    "MAX_MICRO_BATCHES",
     "SEQ_LENS",
     "Workload",
     "WorkloadPoint",
@@ -60,6 +62,12 @@ SEQ_LENS: tuple[int, ...] = (32768, 65536, 98304, 131072)
 #: GPU preset name -> cluster factory, shared by :meth:`Workload.paper`
 #: and the ``python -m repro`` CLI so the two resolve identically.
 GPU_CLUSTERS = {"H20": h20_cluster, "A800": a800_cluster}
+
+#: Largest micro-batch budget a workload may carry.  The tuner sweeps
+#: every multiple of a schedule's divisor up to the budget, and each of
+#: those candidates simulates a longer pipeline, so a cold sweep grows
+#: about quadratically with the budget.
+MAX_MICRO_BATCHES = 256
 
 _SUFFIX = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30, "b": 1 << 30}
 
@@ -111,6 +119,16 @@ def parse_int_list(text: str) -> tuple[int, ...]:
     return items
 
 
+def _budget_above_cap(num_micro_batches: int) -> str | None:
+    """Why a micro-batch budget is refused, or None when it is allowed."""
+    if num_micro_batches <= MAX_MICRO_BATCHES:
+        return None
+    return (
+        f"micro-batch budget {num_micro_batches} is above the maximum "
+        f"of {MAX_MICRO_BATCHES}"
+    )
+
+
 def format_seq_len(seq_len: int) -> str:
     """``65536`` -> ``"64k"`` (falls back to the plain number)."""
     if seq_len % 1024 == 0:
@@ -125,7 +143,8 @@ class Workload:
     Encodes the evaluation protocol of Section 5.1: one pipeline stage
     per node, Megatron sequence parallelism across the node's GPUs,
     micro-batch size 1 and a global batch of ``2 x pipeline size`` micro
-    batches unless overridden.
+    batches unless overridden.  A budget above :data:`MAX_MICRO_BATCHES`,
+    the default included, raises :class:`ValueError`.
     """
 
     model: ModelConfig
@@ -137,6 +156,9 @@ class Workload:
     def __post_init__(self) -> None:
         if self.num_micro_batches is None:
             self.num_micro_batches = 2 * self.cluster.num_stages
+        reason = _budget_above_cap(self.num_micro_batches)
+        if reason is not None:
+            raise ValueError(reason)
 
     @classmethod
     def paper(
@@ -258,9 +280,10 @@ class WorkloadGrid:
     ``2 x p`` micro batches instead.
 
     Enumeration is total: a point whose budget cannot fit a single
-    micro batch is yielded with an infeasibility reason rather than
-    omitted, so downstream sweeps (and their reports) account for every
-    requested cell.
+    micro batch, or comes to more than :data:`MAX_MICRO_BATCHES`, is
+    yielded with an infeasibility reason rather than omitted, so
+    downstream sweeps (and their reports) account for every requested
+    cell.
     """
 
     model: str = "7B"
@@ -317,17 +340,15 @@ class WorkloadGrid:
             for p in self.pipeline_sizes:
                 if self.budget_tokens is None:
                     m = 2 * p
-                    reason = None
                 else:
                     m = self.budget_tokens // (seq_len * self.micro_batch)
+                if m < 1:
                     reason = (
-                        None
-                        if m >= 1
-                        else (
-                            f"token budget {self.budget_tokens} < one "
-                            f"micro batch of {seq_len * self.micro_batch} tokens"
-                        )
+                        f"token budget {self.budget_tokens} < one "
+                        f"micro batch of {seq_len * self.micro_batch} tokens"
                     )
+                else:
+                    reason = _budget_above_cap(m)
                 yield WorkloadPoint(
                     model=self.model,
                     gpu=self.gpu,

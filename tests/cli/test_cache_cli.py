@@ -1,12 +1,13 @@
 """``repro cache info``, ``tune --cache`` and ``repro serve`` over sqlite stores."""
 
 import json
+import re
 import sqlite3
 
 import pytest
 
 from repro.cli import main
-from repro.tuner import CostCache, costmodel_fingerprint
+from repro.tuner import SqliteCostStore, costmodel_fingerprint
 
 
 def run(capsys, *argv):
@@ -16,13 +17,14 @@ def run(capsys, *argv):
 
 
 def _seed(path, n=3):
-    cache = CostCache.open(path)
-    for i in range(n):
-        key = (("model", "7B"), 1.0, "helix", "none", i, ())
-        cache.adopt(key, {"error": None, "makespan": float(i),
-                          "peak_memory_bytes": 2.0 * i, "bubble_fraction": 0.1})
-    cache.save()
-    cache.close()
+    store = SqliteCostStore(path)
+    store.put_many(
+        ((("model", "7B"), 1.0, "helix", "none", i, ()),
+         {"error": None, "makespan": float(i),
+          "peak_memory_bytes": 2.0 * i, "bubble_fraction": 0.1})
+        for i in range(n)
+    )
+    store.close()
 
 
 def _json_cache(path):
@@ -90,6 +92,16 @@ class TestTuneCache:
         # The warm sweep re-evaluates nothing: all disk hits, no misses.
         assert "/ 0 misses" in out
         assert "from disk" in out
+
+    def test_saved_count_is_what_cache_info_counts(self, capsys, tmp_path):
+        """Evaluations are written through: no save at exit adds rows."""
+        path = str(tmp_path / "sweep.sqlite")
+        code, out, _ = run(capsys, "tune", "--smoke", "--cache", path)
+        assert code == 0
+        (saved,) = re.findall(r"^cache: saved (\d+) entries to ", out, re.M)
+        assert int(saved) > 0
+        code, out, _ = run(capsys, "cache", "info", path)
+        assert code == 0 and f"entries:     {saved}\n" in out
 
     def test_any_suffix_is_a_sqlite_store(self, capsys, tmp_path):
         path = str(tmp_path / "sweep.cache")

@@ -212,6 +212,23 @@ class TestTune:
         assert exc.value.code == 2
         assert f"error: argument {option}: expected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("tune", "--smoke", "-m", "257"),
+        ("tune", "--smoke", "-p", "129"),
+        ("build", "1f1b", "-p", "129"),
+        ("simulate", "1f1b", "-m", "257"),
+        # The default budget of 256 rounds up to helix's 4-fold divisor.
+        ("build", "helix", "-p", "128", "-o", "fold=4"),
+    ])
+    def test_micro_batch_budget_above_the_cap_is_refused(self, capsys, argv):
+        """-m, the 2 x p default or its rounding above MAX_MICRO_BATCHES
+        builds and sweeps nothing."""
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert "error: micro-batch budget" in err
+        assert "is above the maximum of 256" in err
+        assert "workload:" not in out and "best plan" not in out
+
     def test_mistyped_option_value_fails_cleanly(self, capsys):
         """-o max_outstanding=none parses as the string 'none'; the
         resulting builder TypeError must exit cleanly, not traceback."""

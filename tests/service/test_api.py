@@ -11,6 +11,7 @@ import urllib.request
 import pytest
 
 from repro.service import PlannerService, create_server
+from repro.workloads import MAX_MICRO_BATCHES
 
 _BODY = {
     "model": "7B",
@@ -26,7 +27,10 @@ _BODY = {
 def server():
     service = PlannerService()
     srv = create_server("127.0.0.1", 0, service)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    # A short poll interval: shutdown() waits up to one poll to return.
+    thread = threading.Thread(
+        target=srv.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield srv
     srv.shutdown()
@@ -129,6 +133,13 @@ class TestPlanEndpoint:
         assert code == 400 and "unknown plan request field" in body["error"]
         _, stats = _get(server, "/v1/stats")
         assert stats["telemetry"]["errors"] == 2
+
+    def test_micro_batch_budget_above_the_cap_is_400(self, server):
+        body = dict(_BODY, num_micro_batches=MAX_MICRO_BATCHES + 1)
+        code, answer = _error(server, "POST", "/v1/plan", body)
+        assert code == 400 and "micro-batch budget 257" in answer["error"]
+        _, stats = _get(server, "/v1/stats")
+        assert stats["telemetry"]["plans"] == 0
 
     def test_unknown_schedule_is_400_and_plans_nothing(self, server):
         body = dict(_BODY, schedules=["no-such-schedule"])

@@ -6,7 +6,7 @@ import pytest
 
 from repro.service import PlannerService, parse_plan_request, plan_payload
 from repro.tuner import CostCache, autotune
-from repro.workloads import Workload
+from repro.workloads import MAX_MICRO_BATCHES, Workload
 
 # One tiny deterministic workload shared by every evaluation test: a
 # 2-stage pipeline at 8k tokens with a single schedule and no option
@@ -74,6 +74,15 @@ class TestParsePlanRequest:
     def test_malformed_values_are_rejected(self, payload):
         with pytest.raises(ValueError):
             parse_plan_request(payload)
+
+    def test_workload_takes_a_budget_up_to_the_cap(self):
+        q = parse_plan_request(dict(_BODY, num_micro_batches=MAX_MICRO_BATCHES))
+        assert q.workload().num_micro_batches == MAX_MICRO_BATCHES
+        over = parse_plan_request(
+            dict(_BODY, num_micro_batches=MAX_MICRO_BATCHES + 1)
+        )
+        with pytest.raises(ValueError, match="above the maximum of 256"):
+            over.workload()
 
     def test_top_does_not_split_the_dedup_key(self):
         a = parse_plan_request(dict(_BODY, top=1))

@@ -8,20 +8,30 @@ on failure) and then checks two conservation laws:
 - telemetry counters balance: every request is accounted cold, warm,
   coalesced or error -- a lost update under ``ServiceTelemetry._lock``
   (or an unlocked ``CostCache`` publish) breaks the equality;
-- no cache write is lost: after the storm every plan answer is warm and
-  every in-memory entry reached the sqlite store's write-through.
+- no cache write is lost: after the storm every plan answer is warm,
+  and so is every answer of a fresh service over the same sqlite store.
 
 The shutdown class covers the graceful-drain contract ``repro serve``
 relies on: close() joins sweep threads, rejects late sweeps, closes the
-store's connections, and is idempotent.
+store's connections, and is idempotent.  The durability class covers the
+ungraceful end: every evaluation is written through before it is
+answered, so a SIGKILLed ``repro serve`` loses nothing it answered.
 """
 
+import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+import urllib.request
 
 import pytest
 
+import repro
 from repro.service import PlannerService
-from repro.tuner import CostCache
+from repro.tuner import CostCache, autotune
+from repro.workloads import Workload
 
 _PLAN_BODIES = [
     {
@@ -121,10 +131,14 @@ class TestStressStorm:
         # No lost cache writes, part 1: everything answers warm now.
         for body in _PLAN_BODIES:
             assert service.plan(body)["outcome"] == "warm"
-        # Part 2: every in-memory entry reached the sqlite store.
-        assert service.cache.store is not None
-        for key, _record in service.cache.entries():
-            assert key in service.cache.store
+        # Part 2: every evaluation reached the sqlite store, so a fresh
+        # service over the same store answers warm too.
+        fresh = PlannerService(CostCache.open(service.cache.store.path))
+        try:
+            for body in _PLAN_BODIES:
+                assert fresh.plan(body)["outcome"] == "warm"
+        finally:
+            fresh.close()
 
     def test_identical_burst_coalesces_to_one_cold_eval(self, service):
         n = 8
@@ -153,8 +167,9 @@ class TestGracefulShutdown:
         service = PlannerService(CostCache.open(tmp_path / "drain.sqlite"))
         service.start_sweep(_SWEEP_BODY)
         saved = service.close()
-        # The sweep thread was joined before the final save, so its
-        # results are included and its record reached a terminal state.
+        # The sweep thread was joined before the store was counted, so
+        # its results are included and its record reached a terminal
+        # state.
         assert saved is not None and saved > 0
         (record,) = service.sweeps()
         assert record["state"] in ("done", "failed")
@@ -174,16 +189,6 @@ class TestGracefulShutdown:
         service = PlannerService(CostCache())
         assert service.close() is None
 
-    def test_close_flushes_unstored_entries_to_the_store(self, tmp_path):
-        path = tmp_path / "flush.sqlite"
-        service = PlannerService(CostCache.open(path))
-        key = (("model", "7B"), 1.0, "1f1b", "none", 4, ())
-        service.cache.adopt(key, {"error": "adopted, not written through"})
-        assert service.close() == 1
-        assert CostCache.open(path).peek(key) == {
-            "error": "adopted, not written through"
-        }
-
     def test_close_closes_store_connections(self, tmp_path):
         service = PlannerService(CostCache.open(tmp_path / "fds.sqlite"))
         service.plan(_PLAN_BODIES[0])
@@ -191,3 +196,63 @@ class TestGracefulShutdown:
         assert store._all_conns
         service.close()
         assert store._all_conns == []
+
+
+class TestCrashDurability:
+    def test_sigkilled_service_keeps_every_answered_evaluation(self, tmp_path):
+        path = tmp_path / "S.sqlite"
+        body = {
+            "model": "7B",
+            "gpu": "H20",
+            "p": 2,
+            "seq_len": "8k",
+            "schedules": ["1f1b"],
+            "options": False,
+        }
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+            PYTHONUNBUFFERED="1",
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--cache", str(path), "--port", "0"],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            lines = []
+            for line in proc.stdout:
+                lines.append(line)
+                if "listening on" in line:
+                    break
+            assert "listening on" in lines[-1], "".join(lines)
+            base = lines[-1].rsplit("listening on ", 1)[1].strip()
+            request = urllib.request.Request(
+                base + "/v1/plan",
+                data=json.dumps(body).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            with urllib.request.urlopen(request, timeout=120) as resp:
+                answer = json.loads(resp.read())
+            assert answer["outcome"] == "cold" and answer["cache"]["misses"] > 0
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=30)
+            proc.stdout.close()
+        assert proc.returncode == -signal.SIGKILL
+
+        cache = CostCache.open(path)
+        try:
+            autotune(
+                Workload.paper("7B", "H20", 2, 8192),
+                schedules=["1f1b"],
+                options=False,
+                cache=cache,
+            )
+        finally:
+            cache.close()
+        assert cache.stats.misses == 0
+        assert cache.stats.disk_hits == answer["cache"]["misses"]

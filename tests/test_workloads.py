@@ -4,6 +4,7 @@ import pytest
 
 from repro.workloads import (
     GPU_CLUSTERS,
+    MAX_MICRO_BATCHES,
     Workload,
     WorkloadGrid,
     format_seq_len,
@@ -71,6 +72,16 @@ class TestWorkload:
     def test_gpu_presets_match_cli_choices(self):
         assert set(GPU_CLUSTERS) == {"H20", "A800"}
 
+    def test_micro_batch_budget_is_capped(self):
+        wl = Workload.paper("7B", "H20", 2, 8192, num_micro_batches=256)
+        assert wl.num_micro_batches == MAX_MICRO_BATCHES == 256
+        with pytest.raises(ValueError, match="budget 257 is above the maximum"):
+            Workload.paper("7B", "H20", 2, 8192, num_micro_batches=257)
+        # The 2 x p default is capped the same way.
+        assert Workload.paper("7B", "H20", 128, 8192).num_micro_batches == 256
+        with pytest.raises(ValueError, match="budget 258 is above the maximum"):
+            Workload.paper("7B", "H20", 129, 8192)
+
 
 class TestWorkloadGrid:
     def test_default_budget_is_2p(self):
@@ -109,6 +120,22 @@ class TestWorkloadGrid:
         assert dead[0].num_micro_batches == 0
         with pytest.raises(ValueError, match="infeasible workload point"):
             dead[0].workload()
+
+    def test_budget_above_the_cap_is_infeasible_row(self):
+        grid = WorkloadGrid(
+            seq_lens=(4096, 8192),
+            pipeline_sizes=(2,),
+            budget_tokens=(MAX_MICRO_BATCHES + 1) * 4096,
+        )
+        over, fits = grid.points()
+        assert not over.feasible and over.num_micro_batches == 0
+        assert "budget 257 is above the maximum of 256" in over.reason
+        assert fits.feasible and fits.num_micro_batches == 128
+        with pytest.raises(ValueError, match="infeasible workload point"):
+            over.workload()
+        # Without a token budget, the 2 x p default is capped too.
+        (big,) = WorkloadGrid(seq_lens=(4096,), pipeline_sizes=(129,)).points()
+        assert not big.feasible and "budget 258" in big.reason
 
     def test_micro_batch_scales_budget(self):
         grid = WorkloadGrid(

@@ -34,20 +34,22 @@ class TestPersistence:
         cache = CostCache.open(path)
         for i in range(5):
             cache.get_or_eval(_key(i), lambda i=i: _record(i))
-        assert cache.save() == 5
+        assert len(cache) == 5
 
         loaded = CostCache.open(path)
         assert len(loaded) == 5
+        keys = [_key(i) for i in range(5)]
+        # Keys must round trip as tuples, not JSON lists.
+        assert loaded.fetch_many(keys) == set(keys)
         for i in range(5):
-            # Keys must round trip as tuples, not JSON lists.
-            assert _key(i) in loaded
             assert loaded.peek(_key(i)) == _record(i)
 
-    def test_loaded_entries_count_as_disk_hits(self, tmp_path):
+    def test_fetched_entries_count_as_disk_hits(self, tmp_path):
         path = tmp_path / "cache.sqlite"
         CostCache.open(path).get_or_eval(_key(0), lambda: _record(0))
 
         loaded = CostCache.open(path)
+        assert loaded.fetch_many([_key(0), _key(1)]) == {_key(0)}
         assert loaded.stats.lookups == 0
         loaded.get_or_eval(_key(0), lambda: pytest.fail("must not re-evaluate"))
         assert loaded.stats.disk_hits == 1
@@ -58,20 +60,6 @@ class TestPersistence:
         loaded.get_or_eval(_key(1), lambda: pytest.fail("must not re-evaluate"))
         assert loaded.stats.hits == 1
         assert loaded.stats.misses == 1
-
-    def test_attach_keeps_memory_entries(self, tmp_path):
-        path = tmp_path / "cache.sqlite"
-        disk = CostCache.open(path)
-        disk.adopt(_key(0), _record(0))
-        disk.adopt(_key(1), _record(1))
-        disk.save()
-
-        cache = CostCache()
-        cache.get_or_eval(_key(0), lambda: _record(0))
-        cache.attach_store(SqliteCostStore(path))
-        cache.get_or_eval(_key(0), lambda: pytest.fail("cached"))
-        cache.get_or_eval(_key(1), lambda: pytest.fail("cached"))
-        assert cache.stats.hits == 1 and cache.stats.disk_hits == 1
 
     def test_json_file_is_refused_and_left_untouched(self, tmp_path):
         # A JSON cost cache as earlier versions wrote it.
@@ -89,17 +77,17 @@ class TestPersistence:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["notacache.json"]
 
-    def test_save_without_a_store_returns_none(self):
-        cache = CostCache()
-        cache.adopt(_key(0), _record(0))
-        assert cache.save() is None
-
-    def test_save_creates_missing_parent_directories(self, tmp_path):
+    def test_open_creates_missing_parent_directories(self, tmp_path):
         path = tmp_path / "new" / "deep" / "cache.sqlite"
-        cache = CostCache.open(path)
-        cache.adopt(_key(0), _record(0))
-        assert cache.save() == 1
-        assert CostCache.open(path).peek(_key(0)) == _record(0)
+        CostCache.open(path).get_or_eval(_key(0), lambda: _record(0))
+        assert SqliteCostStore(path).get_many([_key(0)]) == {_key(0): _record(0)}
+
+    def test_len_without_a_store_counts_the_dict(self):
+        cache = CostCache()
+        for i in range(3):
+            cache.get_or_eval(_key(i), lambda i=i: _record(i))
+        assert len(cache) == 3
+        assert cache.fetch_many([_key(0), _key(7)]) == {_key(0)}
 
 
 class TestCostModelFingerprint:
@@ -128,10 +116,9 @@ class TestCostModelFingerprint:
     ])
     def test_stale_store_warns_and_is_cleared(self, tmp_path, stale):
         path = tmp_path / "cache.sqlite"
-        cache = CostCache.open(path)
-        cache.adopt(_key(0), _record(0))
-        cache.save()
-        cache.close()
+        store = SqliteCostStore(path)
+        store.put(_key(0), _record(0))
+        store.close()
         conn = sqlite3.connect(path)
         conn.execute(stale)
         conn.commit()
@@ -169,12 +156,12 @@ class TestCostModelFingerprint:
 
     def test_matching_fingerprint_round_trips(self, tmp_path):
         path = tmp_path / "cache.sqlite"
-        cache = CostCache.open(path)
-        cache.adopt(_key(0), _record(0))
-        cache.save()
+        SqliteCostStore(path).put(_key(0), _record(0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert CostCache.open(path).peek(_key(0)) == _record(0)
+            reopened = CostCache.open(path)
+        assert reopened.fetch_many([_key(0)]) == {_key(0)}
+        assert reopened.peek(_key(0)) == _record(0)
 
 
 class TestStats:
@@ -187,18 +174,3 @@ class TestStats:
     def test_str_mentions_disk_only_when_present(self):
         assert "disk" not in str(CacheStats(hits=1, misses=1))
         assert "2 from disk" in str(CacheStats(hits=1, disk_hits=2, misses=1))
-
-    def test_clear_resets_disk_bookkeeping(self, tmp_path):
-        path = tmp_path / "cache.sqlite"
-        loaded = CostCache.open(path)
-        loaded.adopt(_key(0), _record(0))
-        loaded.save()
-        loaded.get_or_eval(_key(0), lambda: pytest.fail("adopted"))
-        assert loaded.stats.hits == 1
-        loaded.clear()
-        assert loaded.stats.lookups == 0
-        # The memory layer is gone, the store keeps its entry: the next
-        # lookup reads it off the store again.
-        assert len(loaded) == 1
-        loaded.get_or_eval(_key(0), lambda: pytest.fail("on disk"))
-        assert loaded.stats.disk_hits == 1 and loaded.stats.hits == 0

@@ -72,6 +72,14 @@ class TestTuneGrid:
         assert not dead[0].feasible
         assert "token budget" in dead[0].reason
 
+    def test_point_above_the_micro_batch_cap_reported_with_reason(self):
+        # 512k tokens at 1k a micro batch is 512 micro batches.
+        grid = small_grid(seq_lens=(1024,))
+        (dead,) = tune_grid(grid, schedules=["1f1b"], options=False,
+                            cache=CostCache())
+        assert dead.plan is None and not dead.feasible
+        assert "micro-batch budget 512 is above the maximum" in dead.reason
+
     def test_divisor_preclusion_surfaces_as_infeasible_row(self):
         # Budget of 2 micro batches at 16k; helix needs fold*p == 4.
         grid = small_grid(seq_lens=(16384,), budget_tokens=2 << 14)

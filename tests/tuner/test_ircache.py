@@ -166,8 +166,9 @@ class TestTelemetry:
         snap = tel.as_dict()
         assert snap["built"] == tel.built
         assert snap["cache_s"] == tel.cache_s
-        tel.reset()
-        assert tel.built == 0 and tel.eval_s == 0.0 and tel.as_dict()["cache_s"] == 0.0
+        fresh = SweepTelemetry()
+        assert fresh.built == 0 and fresh.eval_s == 0.0
+        assert fresh.as_dict()["cache_s"] == 0.0
 
 
 class TestGridSharing:

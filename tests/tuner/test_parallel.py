@@ -61,16 +61,19 @@ class TestParallelEquivalence:
         assert set(records) == {_candidate_key(wkey, cand, cap) for cand in cands}
 
 
-def _persist(cache, path):
-    """Write every entry of an in-memory cache to a fresh store at ``path``."""
-    SqliteCostStore(path).put_many(iter(cache.entries()))
+def _persist(wl, cache, path):
+    """Write the records ``cache`` holds for ``wl``'s grid to a fresh store."""
+    wkey = workload_cache_key(wl)
+    cap = float(wl.cluster.node.gpu.hbm_bytes)
+    held = cache.fetch_many(_candidate_key(wkey, cand, cap) for cand in grid_points(wl))
+    SqliteCostStore(path).put_many((key, cache.peek(key)) for key in held)
 
 
 class TestPersistedSweep:
     def test_second_sweep_from_disk_is_all_hits(self, wl, serial, tmp_path):
         serial_plans, serial_cache = serial
         path = tmp_path / "sweep.sqlite"
-        _persist(serial_cache, path)
+        _persist(wl, serial_cache, path)
 
         reloaded = CostCache.open(path)
         plans = autotune(wl, cache=reloaded)
@@ -83,7 +86,7 @@ class TestPersistedSweep:
     ):
         serial_plans, serial_cache = serial
         path = tmp_path / "sweep.sqlite"
-        _persist(serial_cache, path)
+        _persist(wl, serial_cache, path)
 
         reloaded = CostCache.open(path)
         plans = autotune(wl, cache=reloaded, workers=4)

@@ -40,7 +40,9 @@ def test_open_makes_a_sqlite_store_whatever_the_suffix(tmp_path, name):
     cache.get_or_eval(_key(0), lambda: _record(0))
     cache.close()
     assert _is_sqlite_file(path)
-    assert CostCache.open(path).peek(_key(0)) == _record(0)
+    reopened = CostCache.open(path)
+    assert reopened.fetch_many([_key(0)]) == {_key(0)}
+    assert reopened.peek(_key(0)) == _record(0)
 
 
 class TestStore:
@@ -165,15 +167,23 @@ class TestStore:
         with pytest.warns(UserWarning, match="fingerprint"):
             reopened = SqliteCostStore(path)
         assert len(reopened) == 0  # stale records are not served
-        assert reopened.fingerprint == costmodel_fingerprint()
+        conn = sqlite3.connect(path)
+        try:
+            (stamp,) = conn.execute(
+                "SELECT value FROM meta WHERE key = 'costmodel'"
+            ).fetchone()
+        finally:
+            conn.close()
+        assert stamp == costmodel_fingerprint()
 
 
 class TestCacheIntegration:
-    def test_attached_store_serves_lazy_disk_hits(self, tmp_path):
+    def test_fetched_store_records_are_disk_hits(self, tmp_path):
         path = tmp_path / "store.sqlite"
         SqliteCostStore(path).put(_key(0), _record(0))
 
         cache = CostCache.open(path)
+        assert cache.fetch_many([_key(0)]) == {_key(0)}
         assert cache.stats.lookups == 0
         value = cache.get_or_eval(_key(0), lambda: pytest.fail("on disk"))
         assert value == _record(0)
@@ -187,64 +197,34 @@ class TestCacheIntegration:
         cache = CostCache.open(path)
         cache.get_or_eval(_key(0), lambda: _record(0))
         assert cache.stats.misses == 1
-        # A second cache over the same store sees the entry without any
-        # explicit save() -- that is what makes the store shareable.
+        # A second cache over the same store sees the entry at once --
+        # that is what makes the store shareable.
         other = CostCache.open(path)
+        assert other.fetch_many([_key(0)]) == {_key(0)}
         other.get_or_eval(_key(0), lambda: pytest.fail("written through"))
         assert other.stats.disk_hits == 1
 
-    def test_contains_and_peek_fall_through_to_store(self, tmp_path):
-        path = tmp_path / "store.sqlite"
-        SqliteCostStore(path).put(_key(0), _record(0))
-        cache = CostCache.open(path)
-        assert _key(0) in cache  # the parallel sweep path uses `in`
-        assert cache.peek(_key(0)) == _record(0)
-        assert cache.stats.lookups == 0  # neither call counts stats
-        with pytest.raises(KeyError):
-            cache.peek(_key(99))
-
-    def test_fetch_many_loads_store_hits_as_disk_entries(
+    def test_cold_record_is_stored_before_it_is_held(
         self, tmp_path, monkeypatch
     ):
         path = tmp_path / "store.sqlite"
-        SqliteCostStore(path).put_many((_key(i), _record(i)) for i in range(3))
         cache = CostCache.open(path)
-        cache.adopt(_key(5), _record(5))
-        held = cache.fetch_many([_key(0), _key(2), _key(5), _key(9)])
-        assert held == {_key(0), _key(2), _key(5)}
-        assert cache.stats.lookups == 0
-        calls = _count_calls(monkeypatch, "get", "__contains__")
-        assert cache.get_or_eval(_key(0), lambda: pytest.fail("fetched")) == _record(0)
-        assert calls == {} and cache.stats.disk_hits == 1
+        put = SqliteCostStore.put
 
-    def test_save_flushes_adopted_entries(self, tmp_path):
-        path = tmp_path / "store.sqlite"
-        cache = CostCache.open(path)
-        cache.adopt(_key(0), _record(0))  # adopt() does not write through
-        assert cache.save() == 1
+        def observing_put(store, key, record):
+            with pytest.raises(KeyError):
+                cache.peek(key)  # not held until the put returns
+            put(store, key, record)
+
+        monkeypatch.setattr(SqliteCostStore, "put", observing_put)
+        assert cache.get_or_eval(_key(0), lambda: _record(0)) == _record(0)
         assert SqliteCostStore(path).get(_key(0)) == _record(0)
+        assert cache.peek(_key(0)) == _record(0)
 
-    def test_save_to_attached_store_writes_only_unstored_rows(
-        self, tmp_path, monkeypatch
-    ):
+    def test_failed_put_leaves_the_key_unheld(self, tmp_path, monkeypatch):
         path = tmp_path / "store.sqlite"
-        SqliteCostStore(path).put(_key(0), _record(0))
         cache = CostCache.open(path)
-        cache.get_or_eval(_key(0), lambda: pytest.fail("on disk"))  # fetched
-        cache.get_or_eval(_key(1), lambda: _record(1))  # written through
-        written = []
-        put_many = SqliteCostStore.put_many
-
-        def counting_put_many(store, entries):
-            entries = list(entries)
-            written.extend(key for key, _ in entries)
-            return put_many(store, iter(entries))
-
-        monkeypatch.setattr(SqliteCostStore, "put_many", counting_put_many)
-        assert cache.save() == 2
-        assert written == []
-
-        cache.adopt(_key(2), _record(2))  # adopt() does not write through
+        put = SqliteCostStore.put
 
         def failing_put(store, key, record):
             raise sqlite3.OperationalError("database is locked")
@@ -252,48 +232,75 @@ class TestCacheIntegration:
         monkeypatch.setattr(SqliteCostStore, "put", failing_put)
         with pytest.raises(sqlite3.OperationalError):
             cache.get_or_eval(_key(3), lambda: _record(3))
-        assert cache.save() == 4
-        assert sorted(written) == [_key(2), _key(3)]
-        assert SqliteCostStore(path).get_many(_key(i) for i in range(4)) == {
-            _key(i): _record(i) for i in range(4)
-        }
+        assert cache.fetch_many([_key(3)]) == set()
+        with pytest.raises(KeyError):
+            cache.peek(_key(3))
 
-    def test_save_flushes_entries_held_before_attach(self, tmp_path):
-        cache = CostCache()
-        for i in range(3):
-            cache.adopt(_key(i), _record(i))
-        path = tmp_path / "out.sqlite"
-        cache.attach_store(SqliteCostStore(path))
-        assert cache.save() == 3
-        assert SqliteCostStore(path).get_many(_key(i) for i in range(3)) == {
-            _key(i): _record(i) for i in range(3)
-        }
+        # The next lookup evaluates the key again and writes it.
+        monkeypatch.setattr(SqliteCostStore, "put", put)
+        evaluated = []
+        record = cache.get_or_eval(
+            _key(3), lambda: evaluated.append(_key(3)) or _record(3)
+        )
+        assert record == _record(3) and evaluated == [_key(3)]
+        assert cache.stats.misses == 1
+        assert SqliteCostStore(path).get(_key(3)) == _record(3)
 
-    def test_len_counts_memory_and_store_without_double_counting(
+    def test_get_or_eval_and_peek_make_no_store_read(
         self, tmp_path, monkeypatch
     ):
         path = tmp_path / "store.sqlite"
-        SqliteCostStore(path).put(_key(0), _record(0))
-        cache = CostCache()
-        cache.adopt(_key(2), _record(2))  # held before the store was attached
-        cache.attach_store(SqliteCostStore(path))
-        cache.get_or_eval(_key(0), lambda: pytest.fail("on disk"))  # fetched
-        cache.get_or_eval(_key(1), lambda: _record(1))  # written through
-        cache.adopt(_key(3), _record(3))  # memory only
-        cache.adopt(_key(4), _record(4))  # memory only
-        assert len(cache) == 5
+        SqliteCostStore(path).put_many((_key(i), _record(i)) for i in range(2))
+        cache = CostCache.open(path)
+        cache.fetch_many([_key(0)])
+        calls = _count_calls(
+            monkeypatch, "get", "get_many", "__contains__", "__len__",
+            "put", "put_many",
+        )
+        assert cache.get_or_eval(_key(0), lambda: pytest.fail("fetched")) == _record(0)
+        assert cache.peek(_key(0)) == _record(0)
+        # Stored but never fetched: peek does not read the store...
+        with pytest.raises(KeyError):
+            cache.peek(_key(1))
+        assert calls == {}
+        # ...and get_or_eval evaluates it again and writes it through.
+        assert cache.get_or_eval(_key(1), lambda: _record(1)) == _record(1)
+        assert calls == {"put": 1}
+        assert cache.stats.disk_hits == 1 and cache.stats.misses == 1
 
-        # Written-through entries are in the store already: counting
-        # them must not cost one store probe per evaluated record.
-        for i in range(10, 30):
+    def test_contains_falls_through_to_store(self, tmp_path):
+        path = tmp_path / "store.sqlite"
+        SqliteCostStore(path).put(_key(0), _record(0))
+        cache = CostCache.open(path)
+        assert _key(0) in cache
+        assert _key(99) not in cache
+        assert cache.stats.lookups == 0
+
+    def test_fetch_many_loads_store_hits_as_disk_entries(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "store.sqlite"
+        SqliteCostStore(path).put_many((_key(i), _record(i)) for i in range(3))
+        cache = CostCache.open(path)
+        cache.get_or_eval(_key(5), lambda: _record(5))  # held in memory
+        held = cache.fetch_many([_key(0), _key(2), _key(5), _key(9)])
+        assert held == {_key(0), _key(2), _key(5)}
+        assert cache.stats.lookups == 1  # the one cold evaluation
+        calls = _count_calls(monkeypatch, "get", "__contains__")
+        assert cache.get_or_eval(_key(0), lambda: pytest.fail("fetched")) == _record(0)
+        assert calls == {} and cache.stats.disk_hits == 1
+
+    def test_len_counts_the_store_without_probes(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.sqlite"
+        SqliteCostStore(path).put_many((_key(i), _record(i)) for i in range(3))
+        cache = CostCache.open(path)
+        cache.fetch_many([_key(0)])  # fetched
+        for i in range(2, 30):  # _key(2) is stored but was never fetched
             cache.get_or_eval(_key(i), lambda i=i: _record(i))
-        probes = _count_calls(monkeypatch, "__contains__")
-        assert len(cache) == 25
-        assert probes == {"__contains__": 3}  # the three adopted keys
-        cache.save()  # flushes the memory-only entries into the store
-        probes.clear()
-        assert len(cache) == 25
-        assert probes == {}
+        probes = _count_calls(monkeypatch, "__contains__", "get", "__len__")
+        # Every held record is in the store, once: len is its count.
+        assert len(cache) == 30
+        assert probes == {"__len__": 1}
 
     def test_len_probes_nothing_after_write_through_only(
         self, tmp_path, monkeypatch
@@ -304,17 +311,6 @@ class TestCacheIntegration:
         probes = _count_calls(monkeypatch, "__contains__")
         assert len(cache) == 20
         assert probes == {}
-
-    def test_len_counts_entries_held_before_the_store_was_attached(
-        self, tmp_path
-    ):
-        path = tmp_path / "store.sqlite"
-        SqliteCostStore(path).put_many((_key(i), _record(i)) for i in range(3))
-        cache = CostCache()
-        for i in range(2, 5):  # _key(2) is in the store too
-            cache.get_or_eval(_key(i), lambda i=i: _record(i))
-        cache.attach_store(SqliteCostStore(path))
-        assert len(cache) == 5
 
 
 def _count_calls(monkeypatch, *names):
@@ -396,12 +392,9 @@ class TestConcurrentWriters:
 
 
 class TestThreadedCache:
-    def test_batched_reads_race_adopts_and_write_through(
-        self, tmp_path, monkeypatch
-    ):
-        """More threads than cores mix fetch_many, adopt, write-through
-        and len; afterwards len counts every entry once and probes the
-        store for exactly the adopted keys."""
+    def test_batched_reads_race_write_through(self, tmp_path, monkeypatch):
+        """More threads than cores mix fetch_many, write-through and
+        len; afterwards len counts every entry once without a probe."""
         path = tmp_path / "store.sqlite"
         SqliteCostStore(path).put_many((_key(i), _record(i)) for i in range(200))
         cache = CostCache.open(path)
@@ -415,7 +408,6 @@ class TestThreadedCache:
                 for i in range(rounds):
                     keys = [_key(k) for k in range(10 * t, 10 * t + 60)]
                     assert cache.fetch_many(keys) == set(keys)
-                    cache.adopt(_key(1000 + rounds * t + i), _record(i))
                     n = 2000 + rounds * t + i
                     cache.get_or_eval(_key(n), lambda n=n: _record(n))
                     len(cache)
@@ -438,9 +430,9 @@ class TestThreadedCache:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert cache.stats.misses == n_threads * rounds
-        probes = _count_calls(monkeypatch, "__contains__")
-        assert len(cache) == 200 + 2 * n_threads * rounds
-        assert probes == {"__contains__": n_threads * rounds}
+        probes = _count_calls(monkeypatch, "__contains__", "__len__")
+        assert len(cache) == 200 + n_threads * rounds
+        assert probes == {"__len__": 1}
         cache.close()
 
 
