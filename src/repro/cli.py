@@ -630,8 +630,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     elif args.smoke:
         schedules = ["1f1b", "helix"]
 
-    cache = _load_cache(args.cache)
-
     kwargs: dict[str, Any] = {
         "options": not (args.no_options or args.smoke),
         "prune": not args.no_prune,
@@ -642,6 +640,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         else None
     )
 
+    # Refuse a bad request before the store is opened: opening creates
+    # a missing store, which a refused command must not leave behind.
+    for name in schedules or ():
+        get_schedule(name)
     if grid_mode:
         if args.num_micro_batches is not None:
             print(
@@ -658,6 +660,18 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             micro_batch=args.micro_batch,
             budget_tokens=args.budget_tokens,
         )
+    else:
+        wl = Workload.paper(
+            args.model,
+            args.gpu,
+            pp_sizes[0],
+            seq_lens[0],
+            micro_batch=args.micro_batch,
+            num_micro_batches=args.num_micro_batches,
+        )
+    cache = _load_cache(args.cache)
+
+    if grid_mode:
         print(f"workload grid: {grid.label}")
         t0 = time.perf_counter()
         plans = tune_grid(
@@ -684,14 +698,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             f"workload points in {elapsed:.2f} s",
         )
     else:
-        wl = Workload.paper(
-            args.model,
-            args.gpu,
-            pp_sizes[0],
-            seq_lens[0],
-            micro_batch=args.micro_batch,
-            num_micro_batches=args.num_micro_batches,
-        )
         print(f"workload: {_describe_workload(wl)}")
         t0 = time.perf_counter()
         plans = autotune(
@@ -1079,7 +1085,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_tune.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="evaluate cold candidates in a process pool of N workers",
@@ -1153,7 +1159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="evaluate cold candidates in a process pool of N workers",

@@ -1,29 +1,17 @@
 """Per-figure / per-table reproduction experiments.
 
-Every module registers itself with the experiment registry
-(:mod:`repro.experiments.registry`), so the canonical entry point is
+Every figure module registers itself with the experiment registry
+(:mod:`repro.experiments.registry`), which imports it on first lookup,
+so the canonical entry point is
 
 >>> from repro.experiments import run_experiment
 >>> run_experiment("fig8_throughput", smoke=True).rows
 
 or ``python -m repro experiment run fig8_throughput`` from the shell.
-The per-module ``run()`` functions remain importable as before.
+The per-module ``run()`` functions stay importable as submodules
+(``from repro.experiments import fig8_throughput``).
 """
 
-from repro.experiments import (
-    chunked_mlp,
-    fig2_fig7_schedules,
-    fig3_breakdown,
-    fig4_memory_imbalance,
-    fig5_partition,
-    fig6_overlap,
-    fig8_throughput,
-    fig9_comm,
-    fig10_memory_footprint,
-    fig11_recompute,
-    table1,
-    table2,
-)
 from repro.experiments.common import (
     METHODS,
     SEQ_LENS,
@@ -68,16 +56,4 @@ __all__ = [
     "get_experiment",
     "register_experiment",
     "run_experiment",
-    "table1",
-    "table2",
-    "fig2_fig7_schedules",
-    "fig3_breakdown",
-    "fig4_memory_imbalance",
-    "fig5_partition",
-    "fig6_overlap",
-    "fig8_throughput",
-    "fig9_comm",
-    "fig10_memory_footprint",
-    "fig11_recompute",
-    "chunked_mlp",
 ]

@@ -426,10 +426,16 @@ def register_experiment(
     defaults; ``smoke`` overrides (which must name schema parameters)
     define the fast configuration.  The decorated function is returned
     unchanged, so the module's direct ``run(...)`` entry point keeps
-    working -- the registry parity tests assert both paths agree.
+    working -- the registry parity tests assert both paths agree.  A
+    runner from outside ``_BUILTIN_MODULES`` loads the built-ins first,
+    so taking a built-in name fails here instead of on every later
+    lookup; the built-ins' own registrations do not, so loading never
+    re-enters itself.
     """
 
     def deco(fn: Callable[..., list[dict]]) -> Callable[..., list[dict]]:
+        if fn.__module__ not in _BUILTIN_MODULES:
+            _ensure_builtin()
         if name in _REGISTRY:
             raise ValueError(f"experiment {name!r} already registered")
         schema = _signature_params(fn)

@@ -292,10 +292,16 @@ class PassRegistry(Generic[IssueT]):
         The function may take ``(subject)`` or ``(subject, context)``;
         one-argument functions are wrapped so every body has the same
         signature.  The function itself is returned unchanged, so
-        direct calls keep working.
+        direct calls keep working.  A pass from outside the ``builtin``
+        modules loads them first, so taking a built-in name fails here
+        instead of on every later lookup; the built-ins' own
+        registrations do not, so loading never re-enters itself and
+        the registration order stays theirs.
         """
 
         def deco(fn: Callable[..., list]) -> Callable[..., list]:
+            if fn.__module__ not in self._builtin:
+                self._load_builtin()
             if name in self._passes:
                 raise ValueError(f"{self.kind} {name!r} already registered")
             positional = [

@@ -1,8 +1,10 @@
-"""Pipeline schedule IR, verification passes, registry and builders."""
+"""Pipeline schedule IR, verification passes and the schedule registry.
 
-from repro.schedules.adapipe import build_adapipe
+The registry imports the builder modules on first lookup; import a
+``build_*`` function from its own module (``repro.schedules.gpipe``).
+"""
+
 from repro.schedules.costs import CostProvider, PipelineCosts, SegCost, UnitCosts
-from repro.schedules.gpipe import build_gpipe
 from repro.schedules.ir import (
     ComputeInstr,
     Instr,
@@ -11,8 +13,6 @@ from repro.schedules.ir import (
     Schedule,
     SendInstr,
 )
-from repro.schedules.interleaved import build_interleaved_1f1b
-from repro.schedules.one_f_one_b import build_1f1b
 from repro.schedules.passes import (
     PassIssue,
     ScheduleVerificationError,
@@ -26,8 +26,6 @@ from repro.schedules.registry import (
     get_schedule,
     register_schedule,
 )
-from repro.schedules.zb1p import build_zb1p
-from repro.schedules.zb_milp import build_zb_milp
 
 __all__ = [
     "Schedule",
@@ -49,10 +47,4 @@ __all__ = [
     "get_schedule",
     "available_schedules",
     "build_schedule",
-    "build_1f1b",
-    "build_gpipe",
-    "build_zb1p",
-    "build_zb_milp",
-    "build_adapipe",
-    "build_interleaved_1f1b",
 ]

@@ -26,12 +26,13 @@ is run through the same pass pipeline before an executor touches it:
     stashed byte is released -- schedules must not leak activations
     across iterations).
 
-Passes return :class:`PassIssue` lists instead of asserting inline, so
-callers can either raise (:func:`run_passes` default, via
-:class:`ScheduleVerificationError`) or collect diagnostics.  The
-pipeline replaces the ad-hoc assertions that used to live in the
-individual builders and in :mod:`repro.sim.engine`; the simulator keeps
-its runtime :class:`~repro.sim.engine.DeadlockError` only as a backstop.
+Passes return :class:`PassIssue` lists instead of asserting inline:
+:func:`run_passes` raises the first failing pass's issues as a
+:class:`ScheduleVerificationError` (read them from its ``issues``), and
+``SCHEDULE_PASSES.run`` collects every pass's.  The pipeline replaces
+the ad-hoc assertions that used to live in the individual builders and
+in :mod:`repro.sim.engine`; the simulator keeps its runtime
+:class:`~repro.sim.engine.DeadlockError` only as a backstop.
 
 The four checks here are also registered (category ``executability``,
 severity ERROR) on :data:`~repro.schedules.analysis.framework.SCHEDULE_PASSES`,
@@ -364,11 +365,9 @@ DEFAULT_PASSES: tuple[PassFn, ...] = (
 
 
 def run_passes(
-    schedule: Schedule,
-    passes: Iterable[PassFn] = DEFAULT_PASSES,
-    raise_on_issue: bool = True,
-) -> list[PassIssue]:
-    """Run the verification pipeline; raise or return the issues found.
+    schedule: Schedule, passes: Iterable[PassFn] = DEFAULT_PASSES
+) -> None:
+    """Run the verification pipeline; raise the first failing pass's issues.
 
     Passes run in order and the pipeline stops at the first pass that
     reports issues -- later passes assume the invariants of earlier ones
@@ -378,7 +377,4 @@ def run_passes(
     for p in passes:
         issues = p(schedule)
         if issues:
-            if raise_on_issue:
-                raise ScheduleVerificationError(schedule.name, issues)
-            return issues
-    return []
+            raise ScheduleVerificationError(schedule.name, issues)

@@ -280,9 +280,15 @@ def register_schedule(
     The decorated function keeps its original signature and is returned
     unchanged, so a builder can be registered several times with
     different bound options (HelixPipe's fold-1 / fold-2 variants).
+    A builder from outside ``_BUILTIN_MODULES`` loads the built-ins
+    first, so taking a built-in name fails here instead of on every
+    later lookup; the built-ins' own registrations do not, so loading
+    never re-enters itself.
     """
 
     def deco(fn: Callable[..., Schedule]) -> Callable[..., Schedule]:
+        if fn.__module__ not in _BUILTIN_MODULES:
+            _ensure_builtin()
         if name in _REGISTRY:
             raise ValueError(f"schedule {name!r} already registered")
         _REGISTRY[name] = ScheduleSpec(

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import repro
-from repro.cli import main
+from repro.cli import _build_parser, main
 from repro.schedules.registry import available_schedules
 
 
@@ -135,12 +135,17 @@ class TestBuildSimulate:
     (("describe", "helix", "-p", "-2"), "-p/--pipeline-size"),
     (("build", "1f1b", "-p", "0"), "-p/--pipeline-size"),
     (("simulate", "1f1b", "-p", "0"), "-p/--pipeline-size"),
+    (("tune", "--smoke", "--workers", "0"), "--workers"),
+    (("tune", "--smoke", "--workers", "-5"), "--workers"),
+    (("serve", "--workers", "0"), "--workers"),
+    (("serve", "--workers", "-5"), "--workers"),
 ])
 def test_sizes_and_counts_must_be_positive(capsys, argv, option):
     """A zero or negative size is a usage error, not an empty lint pass,
-    a silent default or a late runtime failure."""
+    a silent default or a late runtime failure.  Only parsed: a value
+    the parser let through must not start a sweep, a pool or a server."""
     with pytest.raises(SystemExit) as exc:
-        main(list(argv))
+        _build_parser().parse_args(list(argv))
     assert exc.value.code == 2
     assert f"error: argument {option}" in capsys.readouterr().err
 
@@ -160,6 +165,7 @@ class TestTune:
         code, out, _ = run(capsys, "tune", "--smoke", "--cache", path)
         assert code == 0
         assert "attached sqlite store" in out
+        assert out.index("cache: attached") < out.index("workload:")
         assert "0 misses" in out, "second sweep must be fully warm"
 
     def test_cache_in_missing_directory_is_created(self, capsys, tmp_path):
@@ -228,6 +234,23 @@ class TestTune:
         assert "error: micro-batch budget" in err
         assert "is above the maximum of 256" in err
         assert "workload:" not in out and "best plan" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ("--smoke", "-m", "257"),
+        ("--smoke", "-m", "4", "--seq-lens", "16k,32k"),
+        ("--smoke", "--schedules", "pipedream"),
+    ])
+    def test_refused_sweep_creates_no_store(self, capsys, tmp_path, argv):
+        """The request is checked before --cache opens, and so creates,
+        the store: a refused tune leaves no file and no directory."""
+        store_dir = tmp_path / "new-dir"
+        code, out, err = run(
+            capsys, "tune", *argv, "--cache", str(store_dir / "new.sqlite")
+        )
+        assert code == 1
+        assert "error:" in err
+        assert "cache: attached" not in out
+        assert not store_dir.exists()
 
     def test_mistyped_option_value_fails_cleanly(self, capsys):
         """-o max_outstanding=none parses as the string 'none'; the

@@ -36,12 +36,12 @@ def _compute(op, stage, mb=0, stash=0.0):
 
 class TestCleanSchedules:
     def test_built_schedule_is_pass_clean(self):
-        assert run_passes(_built_helix()) == []
+        run_passes(_built_helix())
 
     def test_forward_only_fragment_is_clean(self):
         """Fragments without backwards are legal (probes, sim tests)."""
         s = Schedule("frag", 1, 1, [[_compute(OpType.F, 0)]])
-        assert run_passes(s) == []
+        run_passes(s)
 
 
 class TestCorruptedSchedules:
@@ -87,7 +87,9 @@ class TestCorruptedSchedules:
             i for i, x in enumerate(prog) if isinstance(x, RecvInstr)
         )
         prog.insert(0, prog.pop(last_recv))
-        issues = run_passes(corrupted, raise_on_issue=False)
+        with pytest.raises(ScheduleVerificationError) as err:
+            run_passes(corrupted)
+        issues = err.value.issues
         assert issues and issues[0].pass_name == "deadlock"
 
     def test_backward_before_forward(self):
@@ -127,7 +129,9 @@ class TestCorruptedSchedules:
         issues = check_stash_balance(s)
         assert any("negative" in i.message for i in issues)
 
-    def test_run_passes_collect_mode(self):
+    def test_raised_error_carries_the_failing_pass_issues(self):
         s = Schedule("struct", 2, 1, [[_compute(OpType.F, 1)], []])
-        issues = run_passes(s, raise_on_issue=False)
+        with pytest.raises(ScheduleVerificationError) as err:
+            run_passes(s)
+        issues = err.value.issues
         assert issues and issues[0].pass_name == "structure"

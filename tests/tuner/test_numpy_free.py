@@ -4,9 +4,10 @@
 :class:`~repro.costmodel.timing.TimingModel` alone; ``zb-milp`` only
 reaches for numpy/scipy past its closed-form placement fast path.  These
 tests pin both behaviours two ways: in-process, by hiding numpy from
-``import`` while pricing bounds, and end-to-end, by running a full
-``autotune`` plus ``lint_schedules`` in a subprocess whose meta-path
-blocks numpy *and* scipy outright.
+``import`` while pricing bounds, and end-to-end, by running ``repro
+tune --smoke``, ``repro serve --help``, a full ``autotune`` and
+``lint_schedules`` in a subprocess whose meta-path blocks numpy *and*
+scipy outright.
 """
 
 import builtins
@@ -75,9 +76,20 @@ except ImportError:
 else:
     raise SystemExit("blocker failed: numpy imported")
 
-# repro.workloads, not repro.experiments.common: the experiments
-# package eagerly imports memsim (a legitimate numpy user).  The
-# numpy-free surface is workloads + tuner + lint.
+# The planning verbs load no numpy user: not memsim, and no figure
+# module (chunked_mlp imports memsim).
+from repro.cli import main
+from repro.experiments.registry import _BUILTIN_MODULES as FIGURE_MODULES
+
+tune_exit = main(["tune", "--smoke"])
+try:
+    main(["serve", "--help"])
+except SystemExit as exc:
+    serve_help_exit = exc.code
+numpy_users = sorted(
+    m for m in ("repro.memsim", *FIGURE_MODULES) if m in sys.modules
+)
+
 from repro.workloads import Workload
 from repro.lint import lint_schedules
 from repro.tuner import CostCache, autotune
@@ -92,6 +104,9 @@ plans = autotune(wl, cache=cache)
 best = plans[0]
 lint = lint_schedules(pp_sizes=(2,))
 print(json.dumps({
+    "tune_exit": tune_exit,
+    "serve_help_exit": serve_help_exit,
+    "numpy_users": numpy_users,
     "bounds_type": type(bounds).__name__,
     "pruned": cache.stats.pruned,
     "best_label": best.label,
@@ -106,7 +121,8 @@ class TestNumpyFreeEndToEnd:
     @pytest.fixture(scope="class")
     def probe(self):
         """One subprocess with numpy *and* scipy blocked at the meta-path:
-        a sweep over every registered schedule (zb-milp included -- its
+        ``tune --smoke`` and ``serve --help`` through the CLI, a sweep
+        over every registered schedule (zb-milp included -- its
         closed-form placement path must not touch scipy) plus a lint run.
         """
         proc = subprocess.run(
@@ -119,6 +135,11 @@ class TestNumpyFreeEndToEnd:
         )
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    def test_planning_verbs_load_no_numpy_user(self, probe):
+        assert probe["tune_exit"] == 0
+        assert probe["serve_help_exit"] == 0
+        assert probe["numpy_users"] == []
 
     def test_bounds_degrade_to_list_with_pruning_intact(self, probe):
         assert probe["bounds_type"] == "list"
