@@ -24,8 +24,8 @@ from repro.schedules.analysis import (
     SCHEDULE_PASSES,
     AnalysisContext,
     PassIssue,
-    static_peak_memory,
 )
+from repro.schedules.analysis.memory import static_peak_memory
 from repro.schedules.registry import (
     ScheduleBuildError,
     available_schedules,

@@ -230,8 +230,8 @@ class Report(Generic[IssueT]):
 def _dependency_order(passes: list[Pass]) -> list[Pass]:
     """Stable topological order: prerequisites before dependents.
 
-    Registration order depends on which pass module is imported first,
-    so the default pipeline sorts by ``requires`` instead -- a pass never
+    A pass may be registered before a pass it requires (a plugin's, say),
+    so the default pipeline sorts by ``requires`` as well -- a pass never
     runs before the passes whose errors would gate it.  Ties keep the
     given order; a dependency cycle (a registration bug) degrades to the
     given order rather than looping.
@@ -291,12 +291,13 @@ class PassRegistry(Generic[IssueT]):
 
         The function may take ``(subject)`` or ``(subject, context)``;
         one-argument functions are wrapped so every body has the same
-        signature.  The function itself is returned unchanged, so
-        direct calls keep working.  A pass from outside the ``builtin``
-        modules loads them first, so taking a built-in name fails here
-        instead of on every later lookup; the built-ins' own
-        registrations do not, so loading never re-enters itself and
-        the registration order stays theirs.
+        signature, and the wrapper keeps the function's module, which
+        orders :meth:`names`.  The function itself is returned
+        unchanged, so direct calls keep working.  A pass from outside
+        the ``builtin`` modules loads them first, so taking a built-in
+        name fails here instead of on every later lookup; the
+        built-ins' own registrations do not, so loading never re-enters
+        itself.
         """
 
         def deco(fn: Callable[..., list]) -> Callable[..., list]:
@@ -310,7 +311,9 @@ class PassRegistry(Generic[IssueT]):
                 if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
             ]
             if len(positional) == 1:
-                body: PassBody = lambda subject, context, _fn=fn: _fn(subject)
+                body: PassBody = functools.wraps(fn)(
+                    lambda subject, context, _fn=fn: _fn(subject)
+                )
             else:
                 body = fn
             self._passes[name] = Pass(
@@ -344,9 +347,18 @@ class PassRegistry(Generic[IssueT]):
             ) from None
 
     def names(self) -> list[str]:
-        """Names of every registered pass, in registration order."""
+        """Names of every registered pass, built-ins first.
+
+        Built-in passes list in the order of the ``builtin`` modules,
+        each module's in registration order, then every other pass in
+        registration order -- whichever pass module was imported first.
+        """
         self._load_builtin()
-        return list(self._passes)
+        rank = {module: i for i, module in enumerate(self._builtin)}
+        return sorted(
+            self._passes,
+            key=lambda name: rank.get(self._passes[name].fn.__module__, len(rank)),
+        )
 
     def run(
         self,

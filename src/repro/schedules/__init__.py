@@ -13,11 +13,7 @@ from repro.schedules.ir import (
     Schedule,
     SendInstr,
 )
-from repro.schedules.passes import (
-    PassIssue,
-    ScheduleVerificationError,
-    run_passes,
-)
+from repro.schedules.passes import PassIssue, ScheduleVerificationError
 from repro.schedules.registry import (
     ScheduleBuildError,
     ScheduleSpec,
@@ -40,7 +36,6 @@ __all__ = [
     "SegCost",
     "PassIssue",
     "ScheduleVerificationError",
-    "run_passes",
     "ScheduleSpec",
     "ScheduleBuildError",
     "register_schedule",

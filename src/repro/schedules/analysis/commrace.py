@@ -7,12 +7,10 @@ matches send/recv operations on a channel **in issue order**, not by
 tag -- so a schedule that verifies and simulates cleanly can still race
 or head-of-line block when lowered onto ordered channels (the paper's
 Figure 6a pathology is exactly such a serialisation).  These passes
-prove the stronger, transport-portable properties statically:
+prove the stronger, transport-portable properties statically, on top
+of the pairing the ``structure`` executability pass
+(:mod:`repro.schedules.passes`) proves and both require:
 
-``comm-pairing`` (errors)
-    Channel-level pairing dataflow: orphaned SENDs/RECVs, endpoint
-    mirror violations, payload size mismatches, duplicate tags and
-    self-channels, each anchored to its rank/step/tag.
 ``comm-order`` (warnings)
     Same-channel send/recv ordering races: for every directed channel
     ``src -> dst``, the receiver must post its RECVs in the sender's
@@ -33,7 +31,6 @@ prove the stronger, transport-portable properties statically:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.passkit import Severity
 from repro.schedules.analysis.framework import (
@@ -47,7 +44,6 @@ __all__ = [
     "CommOp",
     "ChannelGraph",
     "build_channel_graph",
-    "check_comm_pairing",
     "check_comm_order",
     "check_hol_blocking",
 ]
@@ -76,19 +72,13 @@ class ChannelGraph:
 
     ``sends``/``recvs`` map a directed channel ``(src, dst)`` to the
     channel's operations in *program order* (send order on ``src``,
-    posting order on ``dst``); ``send_by_tag``/``recv_by_tag`` index the
-    first operation per tag.
+    posting order on ``dst``); ``recv_by_tag`` indexes the first RECV
+    per tag.
     """
 
     sends: dict[tuple[int, int], list[CommOp]] = field(default_factory=dict)
     recvs: dict[tuple[int, int], list[CommOp]] = field(default_factory=dict)
-    send_by_tag: dict[str, CommOp] = field(default_factory=dict)
     recv_by_tag: dict[str, CommOp] = field(default_factory=dict)
-    duplicate_sends: list[CommOp] = field(default_factory=list)
-    duplicate_recvs: list[CommOp] = field(default_factory=list)
-
-    def channels(self) -> list[tuple[int, int]]:
-        return sorted(set(self.sends) | set(self.recvs))
 
 
 def build_channel_graph(schedule: Schedule) -> ChannelGraph:
@@ -99,114 +89,10 @@ def build_channel_graph(schedule: Schedule) -> ChannelGraph:
             op = CommOp(stage=stage, step=step, instr=instr)
             if isinstance(instr, SendInstr):
                 g.sends.setdefault((stage, instr.peer), []).append(op)
-                if instr.tag in g.send_by_tag:
-                    g.duplicate_sends.append(op)
-                else:
-                    g.send_by_tag[instr.tag] = op
             elif isinstance(instr, RecvInstr):
                 g.recvs.setdefault((instr.peer, stage), []).append(op)
-                if instr.tag in g.recv_by_tag:
-                    g.duplicate_recvs.append(op)
-                else:
-                    g.recv_by_tag[instr.tag] = op
+                g.recv_by_tag.setdefault(instr.tag, op)
     return g
-
-
-def _capped(issues: list[PassIssue], more: Iterable[PassIssue]) -> None:
-    for issue in more:
-        if len(issues) >= _MAX_ISSUES * 6:
-            return
-        issues.append(issue)
-
-
-# -- pairing -----------------------------------------------------------------
-
-
-@SCHEDULE_PASSES.register(
-    "comm-pairing",
-    description="orphaned/mismatched P2P pairs on the channel graph",
-    category="hazard",
-)
-def check_comm_pairing(
-    schedule: Schedule, context: AnalysisContext
-) -> list[PassIssue]:
-    """Every SEND needs exactly one mirrored, size-matched RECV.
-
-    The channel-graph counterpart of the ``structure`` executability
-    pass: same invariants, but findings carry full rank/step/tag
-    provenance and are grouped per defect class, so a dropped receive in
-    a thousand-instruction schedule points at the exact program point.
-    """
-    g = build_channel_graph(schedule)
-    issues: list[PassIssue] = []
-
-    def issue(msg: str, op: CommOp, severity: Severity = Severity.ERROR) -> PassIssue:
-        return PassIssue(
-            "comm-pairing",
-            msg,
-            severity=severity,
-            stage=op.stage,
-            step=op.step,
-            tag=op.tag,
-        )
-
-    for op in g.duplicate_sends[:_MAX_ISSUES]:
-        issues.append(issue("duplicate SEND for this tag", op))
-    for op in g.duplicate_recvs[:_MAX_ISSUES]:
-        issues.append(issue("duplicate RECV for this tag", op))
-
-    orphaned_sends = sorted(set(g.send_by_tag) - set(g.recv_by_tag))
-    for tag in orphaned_sends[:_MAX_ISSUES]:
-        op = g.send_by_tag[tag]
-        issues.append(
-            issue(
-                f"orphaned SEND to stage {op.instr.peer}: no RECV anywhere "
-                "matches this tag (dropped receive?)",
-                op,
-            )
-        )
-    orphaned_recvs = sorted(set(g.recv_by_tag) - set(g.send_by_tag))
-    for tag in orphaned_recvs[:_MAX_ISSUES]:
-        op = g.recv_by_tag[tag]
-        issues.append(
-            issue(
-                f"orphaned RECV from stage {op.instr.peer}: no SEND anywhere "
-                "produces this tag",
-                op,
-            )
-        )
-
-    mirror, size = [], []
-    for tag, s in g.send_by_tag.items():
-        r = g.recv_by_tag.get(tag)
-        if r is None:
-            continue
-        if s.instr.peer != r.stage or r.instr.peer != s.stage:
-            mirror.append(
-                issue(
-                    f"endpoint mismatch: SEND {s.stage}->{s.instr.peer} but "
-                    f"RECV expects {r.instr.peer}->{r.stage}",
-                    s,
-                )
-            )
-        if s.instr.nbytes != r.instr.nbytes:
-            size.append(
-                issue(
-                    f"payload size mismatch: SEND {s.instr.nbytes:g} B vs "
-                    f"RECV {r.instr.nbytes:g} B",
-                    s,
-                )
-            )
-    _capped(issues, mirror[:_MAX_ISSUES])
-    _capped(issues, size[:_MAX_ISSUES])
-
-    for (src, dst), ops in sorted(g.sends.items()):
-        if src == dst:
-            _capped(
-                issues,
-                (issue("self-channel: SEND to the sending stage", op) for op in ops[:1]),
-            )
-    return issues
 
 
 # -- ordering races ----------------------------------------------------------
@@ -247,7 +133,7 @@ def _longest_in_order(seq: list[int]) -> set[int]:
     "comm-order",
     description="same-channel send/recv ordering races (in-order transports)",
     category="hazard",
-    requires=("comm-pairing",),
+    requires=("structure",),
 )
 def check_comm_order(
     schedule: Schedule, context: AnalysisContext
@@ -305,7 +191,7 @@ def check_comm_order(
     "comm-hol",
     description="head-of-line blocking cycles under in-order channel matching",
     category="hazard",
-    requires=("comm-pairing", "deadlock"),
+    requires=("structure", "deadlock"),
 )
 def check_hol_blocking(
     schedule: Schedule, context: AnalysisContext

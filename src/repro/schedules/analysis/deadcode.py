@@ -30,15 +30,11 @@ from repro.schedules.analysis.framework import (
     PassIssue,
 )
 from repro.schedules.ir import ComputeInstr, Schedule
+from repro.schedules.passes import _seg_key
 
 __all__ = ["check_dead_instructions"]
 
 _MAX_ISSUES = 8
-
-
-def _seg_key(instr: ComputeInstr) -> tuple:
-    seg = instr.segment
-    return (instr.micro_batch, seg.kind, seg.layer, seg.num_layers)
 
 
 @SCHEDULE_PASSES.register(

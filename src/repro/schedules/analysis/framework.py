@@ -80,9 +80,9 @@ class AnalysisContext:
         return [float(x) for x in s]
 
 
-#: Every schedule pass.  The built-in modules register, in report order,
-#: the executability checks (the legacy ``Schedule.validate()``
-#: pipeline) and then the dataflow analyses.
+#: Every schedule pass.  ``names()`` lists the built-ins in the order of
+#: these modules, whichever was imported first: the executability checks
+#: ``Schedule.validate()`` runs, then the dataflow analyses.
 SCHEDULE_PASSES: PassRegistry[PassIssue] = PassRegistry(
     "analysis pass",
     describe=lambda schedule: (

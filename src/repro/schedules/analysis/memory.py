@@ -11,9 +11,7 @@ cost model: this is the cheap, pre-simulation answer to "does this
 schedule fit on the GPU?" that the tuner's feasibility filter and the
 ``repro lint`` gate rely on.
 
-:func:`static_peak_memory` is the dataflow itself;
-:func:`stash_liveness` exposes the full per-step trajectory (useful for
-plotting or explaining *where* the peak happens); the registered
+:func:`static_peak_memory` is the dataflow itself; the registered
 ``peak-memory`` pass checks the peaks against the context's
 ``memory_cap_bytes``.
 """
@@ -28,11 +26,7 @@ from repro.schedules.analysis.framework import (
 )
 from repro.schedules.ir import ComputeInstr, Schedule
 
-__all__ = [
-    "static_peak_memory",
-    "stash_liveness",
-    "check_peak_memory",
-]
+__all__ = ["static_peak_memory", "check_peak_memory"]
 
 
 def static_peak_memory(
@@ -72,33 +66,6 @@ def static_peak_memory(
                 peak = cur
         peaks.append(peak)
     return peaks
-
-
-def stash_liveness(
-    schedule: Schedule,
-    stage: int,
-    static_memory_bytes: float = 0.0,
-) -> list[tuple[int, float, float]]:
-    """The stage's memory trajectory: ``(step, resident, high_water)``.
-
-    One entry per compute instruction, in program order: ``resident`` is
-    the memory held *after* the instruction completes (static plus live
-    stash), ``high_water`` the transient maximum while it ran (resident
-    before completion plus workspace).  The maximum ``high_water`` over
-    the trajectory equals ``static_peak_memory(...)[stage]``.
-    """
-    cur = float(static_memory_bytes)
-    out: list[tuple[int, float, float]] = []
-    for step, instr in enumerate(schedule.programs[stage]):
-        if not isinstance(instr, ComputeInstr):
-            continue
-        ws = instr.workspace
-        high = cur + (ws if ws > 0.0 else 0.0)
-        cur += instr.stash_delta
-        if cur > high:
-            high = cur
-        out.append((step, cur, high))
-    return out
 
 
 def _fmt_bytes(n: float) -> str:

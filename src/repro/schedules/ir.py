@@ -21,15 +21,15 @@ Execution semantics (shared by both executors):
   two-fold FILO schedule (Section 4.3.2) is exactly such a reordering.
 
 Message tags are globally unique strings; every ``SEND`` must have exactly
-one matching ``RECV`` on the peer stage (validated by
-:func:`validate_program`).
+one matching ``RECV`` on the peer stage (checked by the ``structure`` pass
+that :meth:`Schedule.validate` runs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from repro.model.partition import Segment
 
@@ -40,7 +40,6 @@ __all__ = [
     "RecvInstr",
     "Instr",
     "Schedule",
-    "validate_program",
     "compute_only",
     "instr_from_proto",
 ]
@@ -183,31 +182,30 @@ class Schedule:
             i.duration for i in self.programs[stage] if isinstance(i, ComputeInstr)
         )
 
-    def validate(self) -> None:
-        """Run the full verification pass pipeline (see :mod:`..passes`)."""
-        from repro.schedules.passes import run_passes
+    def validate(self, passes: Sequence[str] | None = None) -> None:
+        """Run the executability passes; raise every error they find.
 
-        run_passes(self)
+        ``passes`` names the passes to run, in order (default: every
+        ``executability`` pass -- ``structure``, ``deadlock``,
+        ``program-order`` and ``stash-balance``, see
+        :mod:`repro.schedules.passes`).  They run through
+        ``SCHEDULE_PASSES.run``, so a pass whose prerequisite reported
+        errors is skipped, not run.  Raises
+        :class:`~repro.schedules.passes.ScheduleVerificationError`
+        holding every error found.
+        """
+        from repro.schedules.analysis.framework import SCHEDULE_PASSES
+        from repro.schedules.passes import ScheduleVerificationError
 
-
-def validate_program(schedule: Schedule) -> None:
-    """Structural sanity checks, raising ``ValueError`` on violation.
-
-    * every instruction's ``stage`` field matches the program it sits in;
-    * message tags pair up: exactly one SEND and one RECV per tag, with
-      mirrored endpoints and equal sizes;
-    * no self-sends.
-
-    This is the structural subset of the verification pipeline; use
-    :meth:`Schedule.validate` (or :func:`repro.schedules.passes.run_passes`)
-    for the full set of passes including static deadlock-freedom,
-    program-order and stash-balance checks.
-    """
-    from repro.schedules.passes import ScheduleVerificationError, check_structure
-
-    issues = check_structure(schedule)
-    if issues:
-        raise ScheduleVerificationError(schedule.name, issues)
+        if passes is None:
+            passes = [
+                name
+                for name in SCHEDULE_PASSES.names()
+                if SCHEDULE_PASSES.get(name).category == "executability"
+            ]
+        errors = SCHEDULE_PASSES.run(self, passes=passes).errors
+        if errors:
+            raise ScheduleVerificationError(self.name, errors)
 
 
 def compute_only(schedule: Schedule, stage: int) -> list[ComputeInstr]:

@@ -7,6 +7,10 @@ is run through the same pass pipeline before an executor touches it:
     Per-instruction sanity: the ``stage`` field matches the program the
     instruction sits in, message tags pair up (exactly one SEND and one
     RECV per tag, mirrored endpoints, equal sizes), and no self-sends.
+    Each finding anchors to the stage, step and tag at fault (the SEND,
+    for a pair that does not match), and each defect class reports at
+    most its first eight, so a dropped receive in a thousand-instruction
+    schedule points at the exact program point.
 ``deadlock``
     Static deadlock-freedom under the IR's execution semantics (SENDs
     issue asynchronously once the program counter reaches them, RECVs
@@ -26,24 +30,23 @@ is run through the same pass pipeline before an executor touches it:
     stashed byte is released -- schedules must not leak activations
     across iterations).
 
-Passes return :class:`PassIssue` lists instead of asserting inline:
-:func:`run_passes` raises the first failing pass's issues as a
-:class:`ScheduleVerificationError` (read them from its ``issues``), and
-``SCHEDULE_PASSES.run`` collects every pass's.  The pipeline replaces
-the ad-hoc assertions that used to live in the individual builders and
-in :mod:`repro.sim.engine`; the simulator keeps its runtime
-:class:`~repro.sim.engine.DeadlockError` only as a backstop.
-
-The four checks here are also registered (category ``executability``,
-severity ERROR) on :data:`~repro.schedules.analysis.framework.SCHEDULE_PASSES`,
-so ``SCHEDULE_PASSES.run`` and ``repro lint`` run them alongside the dataflow
-analyses; :func:`run_passes` keeps its historical fail-fast contract for
-``Schedule.validate()``.
+Passes return :class:`PassIssue` lists instead of asserting inline.
+They are registered (category ``executability``, severity ERROR) on
+:data:`~repro.schedules.analysis.framework.SCHEDULE_PASSES`, whose
+``requires``-gated runner is the only one: :meth:`Schedule.validate`
+runs these four through it and raises every error as a
+:class:`ScheduleVerificationError`, and ``repro lint`` runs them
+alongside the dataflow analyses.  ``deadlock`` requires ``structure``
+(the fixed point is meaningless on unpaired tags), so a structurally
+broken schedule reports its pairing errors and skips ``deadlock``.
+The simulator keeps its runtime :class:`~repro.sim.engine.DeadlockError`
+only as a backstop.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from collections import Counter
+from typing import Sequence
 
 from repro.passkit import Severity
 from repro.schedules.analysis.framework import SCHEDULE_PASSES, PassIssue
@@ -64,8 +67,6 @@ __all__ = [
     "check_deadlock_freedom",
     "check_program_order",
     "check_stash_balance",
-    "DEFAULT_PASSES",
-    "run_passes",
 ]
 
 
@@ -87,10 +88,11 @@ class ScheduleVerificationError(ValueError):
         return f"{header}\n{PassIssue.table(self.issues)}"
 
 
-PassFn = Callable[[Schedule], list[PassIssue]]
-
-
 # -- structure ---------------------------------------------------------------
+
+#: Findings reported per defect class: a systematically broken schedule
+#: repeats one defect hundreds of times, and the first few locate it.
+_MAX_PER_DEFECT = 8
 
 
 @SCHEDULE_PASSES.register(
@@ -100,83 +102,87 @@ PassFn = Callable[[Schedule], list[PassIssue]]
 )
 def check_structure(schedule: Schedule) -> list[PassIssue]:
     """Stage fields, SEND/RECV tag pairing, endpoint mirroring, sizes."""
-    issues: list[PassIssue] = []
-    sends: dict[str, SendInstr] = {}
-    recvs: dict[str, RecvInstr] = {}
     if len(schedule.programs) != schedule.num_stages:
-        issues.append(
+        return [
             PassIssue(
                 "structure",
                 f"{len(schedule.programs)} programs for "
                 f"{schedule.num_stages} stages",
             )
-        )
-        return issues
+        ]
+    issues: list[PassIssue] = []
+    found: Counter[str] = Counter()
+
+    def report(
+        defect: str, message: str, stage: int, step: int, tag: str | None = None
+    ) -> None:
+        found[defect] += 1
+        if found[defect] <= _MAX_PER_DEFECT:
+            issues.append(
+                PassIssue("structure", message, stage=stage, step=step, tag=tag)
+            )
+
+    # tag -> (stage, step, instruction) of its first SEND / RECV
+    sends: dict[str, tuple[int, int, SendInstr]] = {}
+    recvs: dict[str, tuple[int, int, RecvInstr]] = {}
     for stage, prog in enumerate(schedule.programs):
-        for instr in prog:
+        for step, instr in enumerate(prog):
             if instr.stage != stage:
-                issues.append(
-                    PassIssue(
-                        "structure",
-                        f"instruction {instr.label} has stage {instr.stage} "
-                        f"but sits in program {stage}",
-                        stage=stage,
-                    )
+                report(
+                    "misplaced",
+                    f"instruction {instr.label} has stage {instr.stage} "
+                    f"but sits in program {stage}",
+                    stage,
+                    step,
                 )
             if isinstance(instr, SendInstr):
+                tag = instr.tag
                 if instr.peer == instr.stage:
-                    issues.append(
-                        PassIssue("structure", f"self-send {instr.label}", stage=stage)
-                    )
-                if instr.tag in sends:
-                    issues.append(
-                        PassIssue(
-                            "structure", f"duplicate send tag {instr.tag}", stage=stage
-                        )
-                    )
-                sends[instr.tag] = instr
+                    report("self-send", f"self-send {instr.label}", stage, step, tag)
+                if tag in sends:
+                    report("dup-send", f"duplicate send tag {tag}", stage, step, tag)
+                else:
+                    sends[tag] = (stage, step, instr)
             elif isinstance(instr, RecvInstr):
-                if instr.tag in recvs:
-                    issues.append(
-                        PassIssue(
-                            "structure", f"duplicate recv tag {instr.tag}", stage=stage
-                        )
-                    )
-                recvs[instr.tag] = instr
-    for tag in sorted(set(sends) - set(recvs))[:8]:
-        issues.append(
-            PassIssue(
-                "structure",
-                f"unpaired tag {tag!r}: SEND has no matching RECV "
-                "(dropped receive?)",
-                stage=sends[tag].stage,
-            )
+                tag = instr.tag
+                if tag in recvs:
+                    report("dup-recv", f"duplicate recv tag {tag}", stage, step, tag)
+                else:
+                    recvs[tag] = (stage, step, instr)
+    for tag in sorted(sends.keys() - recvs.keys()):
+        stage, step, _ = sends[tag]
+        report(
+            "unpaired-send",
+            f"unpaired tag {tag!r}: SEND has no matching RECV "
+            "(dropped receive?)",
+            stage,
+            step,
+            tag,
         )
-    for tag in sorted(set(recvs) - set(sends))[:8]:
-        issues.append(
-            PassIssue(
-                "structure",
-                f"unpaired tag {tag!r}: RECV has no matching SEND",
-                stage=recvs[tag].stage,
-            )
+    for tag in sorted(recvs.keys() - sends.keys()):
+        stage, step, _ = recvs[tag]
+        report(
+            "unpaired-recv",
+            f"unpaired tag {tag!r}: RECV has no matching SEND",
+            stage,
+            step,
+            tag,
         )
-    for tag, s in sends.items():
-        r = recvs.get(tag)
-        if r is None:
+    for tag, (stage, step, s) in sends.items():
+        if tag not in recvs:
             continue
+        r = recvs[tag][2]
         if s.peer != r.stage or r.peer != s.stage:
-            issues.append(
-                PassIssue(
-                    "structure",
-                    f"endpoints mismatch for tag {tag}: "
-                    f"{s.stage}->{s.peer} vs {r.peer}->{r.stage}",
-                    stage=s.stage,
-                )
+            report(
+                "endpoints",
+                f"endpoints mismatch for tag {tag}: "
+                f"{s.stage}->{s.peer} vs {r.peer}->{r.stage}",
+                stage,
+                step,
+                tag,
             )
         if s.nbytes != r.nbytes:
-            issues.append(
-                PassIssue("structure", f"size mismatch for tag {tag}", stage=s.stage)
-            )
+            report("size", f"size mismatch for tag {tag}", stage, step, tag)
     return issues
 
 
@@ -352,29 +358,3 @@ def check_stash_balance(schedule: Schedule) -> list[PassIssue]:
                 )
             )
     return issues
-
-
-# -- pipeline ----------------------------------------------------------------
-
-DEFAULT_PASSES: tuple[PassFn, ...] = (
-    check_structure,
-    check_deadlock_freedom,
-    check_program_order,
-    check_stash_balance,
-)
-
-
-def run_passes(
-    schedule: Schedule, passes: Iterable[PassFn] = DEFAULT_PASSES
-) -> None:
-    """Run the verification pipeline; raise the first failing pass's issues.
-
-    Passes run in order and the pipeline stops at the first pass that
-    reports issues -- later passes assume the invariants of earlier ones
-    (the deadlock fixed point is meaningless on unpaired tags, say), so
-    cascading reports would only be noise.
-    """
-    for p in passes:
-        issues = p(schedule)
-        if issues:
-            raise ScheduleVerificationError(schedule.name, issues)

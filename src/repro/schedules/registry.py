@@ -17,9 +17,9 @@ themselves with the :func:`register_schedule` decorator; the registry
 imports the built-in builder modules lazily on first lookup, so import
 order never matters.
 
-Every registry build runs the full verification pass pipeline
-(:mod:`repro.schedules.passes`); builder failures (infeasible plans,
-divisibility violations, unsolvable MILPs) surface uniformly as
+Every registry build runs :meth:`Schedule.validate` (the executability
+passes of :mod:`repro.schedules.passes`); builder failures (infeasible
+plans, divisibility violations, unsolvable MILPs) surface uniformly as
 :class:`ScheduleBuildError` with the reason preserved, which is what the
 auto-tuner reports as a candidate's infeasibility.
 """
@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 from repro.costmodel.memory import RecomputeStrategy
 from repro.schedules.costs import CostProvider
 from repro.schedules.ir import Schedule
-from repro.schedules.passes import run_passes
 
 if TYPE_CHECKING:
     from repro.workloads import Workload
@@ -207,7 +206,7 @@ class ScheduleSpec:
 
         Unknown options are rejected against the spec's schema, builder
         errors are re-raised as :class:`ScheduleBuildError`, and the
-        result is run through the verification pass pipeline unless
+        result is checked with :meth:`Schedule.validate` unless
         ``verify=False``.
         """
         p, m = as_shape(workload_like)
@@ -228,7 +227,7 @@ class ScheduleSpec:
         except (ValueError, RuntimeError) as err:
             raise ScheduleBuildError(self.name, str(err)) from err
         if verify:
-            run_passes(sched)
+            sched.validate()
         return sched
 
 

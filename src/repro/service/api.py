@@ -16,8 +16,10 @@ module stays boring.  Endpoints:
 
 Errors are JSON too: a malformed or unresolvable request gets ``400``
 with the validator's message, unknown paths ``404``, wrong methods
-``405``.  The server is threaded with daemon handler threads, so slow
-plan evaluations never block health checks and Ctrl-C exits promptly.
+``405``.  A response that leaves a declared request body unread closes
+the connection, so the body is never parsed as the next request.  The
+server is threaded with daemon handler threads, so slow plan
+evaluations never block health checks and Ctrl-C exits promptly.
 """
 
 from __future__ import annotations
@@ -87,15 +89,30 @@ class PlannerAPIHandler(BaseHTTPRequestHandler):
         self.service.telemetry.record_error()
         self._send_json(status, {"error": message})
 
+    def _close_if_body_declared(self) -> None:
+        """Close after this response if the request declared a body.
+
+        Only handlers that call :meth:`_read_body` read one; an unread
+        body left in the socket would be parsed as the next request on
+        this connection, and that request would get an HTML error page.
+        """
+        if self.headers.get("Content-Length", "0").strip() != "0":
+            self.close_connection = True
+
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length < 0:  # rfile.read(-1) would wait for the client to close
-            raise ValueError(f"negative Content-Length {length}")
-        if length > _MAX_BODY_BYTES:
-            raise ValueError(
-                f"request body of {length} bytes exceeds the "
-                f"{_MAX_BODY_BYTES}-byte limit"
-            )
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+            if length < 0:  # rfile.read(-1) would wait for the client to close
+                raise ValueError(f"negative Content-Length {length}")
+            if length > _MAX_BODY_BYTES:
+                raise ValueError(
+                    f"request body of {length} bytes exceeds the "
+                    f"{_MAX_BODY_BYTES}-byte limit"
+                )
+        except ValueError:
+            # The body stays unread: close after the 400.
+            self.close_connection = True
+            raise
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -116,6 +133,7 @@ class PlannerAPIHandler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         name = self.ROUTES.get((method, path))
         if name is None:
+            self._close_if_body_declared()
             known = {p for (_, p) in self.ROUTES}
             if path in known:
                 self._send_error_json(405, f"{method} not allowed on {path}")
@@ -131,6 +149,7 @@ class PlannerAPIHandler(BaseHTTPRequestHandler):
             self._send_error_json(500, f"{type(err).__name__}: {err}")
 
     def do_GET(self) -> None:  # noqa: N802 (http.server contract)
+        self._close_if_body_declared()  # no GET endpoint reads a body
         self._dispatch("GET")
 
     def do_POST(self) -> None:  # noqa: N802 (http.server contract)

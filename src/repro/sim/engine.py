@@ -47,11 +47,6 @@ from repro.schedules.ir import (
     Schedule,
     SendInstr,
 )
-from repro.schedules.passes import (
-    check_deadlock_freedom,
-    check_structure,
-    run_passes,
-)
 from repro.sim.metrics import SimResult, StageMetrics
 from repro.sim.trace import Interval, Trace
 
@@ -150,8 +145,9 @@ class PipelineSimulator:
     duplex:
         ``"half"`` (one comm engine per stage) or ``"full"`` (default).
     verify:
-        Run the executability passes before simulating.  Callers that
-        just verified the schedule (registry builds) may disable this.
+        Run ``schedule.validate(("structure", "deadlock"))`` before
+        simulating.  Callers that just verified the schedule (registry
+        builds) may disable this.
     record_trace:
         Record per-interval :class:`~repro.sim.trace.Trace` entries.
         Disabling skips all Interval allocation (the tuner's hot path);
@@ -168,13 +164,13 @@ class PipelineSimulator:
         verify: bool = True,
         record_trace: bool = True,
     ) -> None:
-        # The simulator only needs the executability passes (structure +
-        # static deadlock-freedom); accounting properties like stash
-        # balance are builder-level invariants verified at build time,
-        # and hand-written fragments (tests, what-if probes) may violate
-        # them on purpose.
+        # The simulator only needs tag pairing (structure) and static
+        # deadlock-freedom; accounting properties like stash balance are
+        # builder-level invariants verified at build time, and
+        # hand-written fragments (tests, what-if probes) may violate them
+        # on purpose.
         if verify:
-            run_passes(schedule, passes=(check_structure, check_deadlock_freedom))
+            schedule.validate(("structure", "deadlock"))
         if cluster.num_stages < schedule.num_stages:
             raise ValueError(
                 f"cluster has {cluster.num_stages} nodes but schedule needs "

@@ -62,7 +62,7 @@ class TestRegistration:
     def test_metadata_present(self):
         ap = SCHEDULE_PASSES.get("comm-hol")
         assert ap.category == "hazard"
-        assert "comm-pairing" in ap.requires and "deadlock" in ap.requires
+        assert ap.requires == ("structure", "deadlock")
 
 
 class TestRunAnalysis:

@@ -136,8 +136,11 @@ class TestLintCli:
     def test_list_passes(self, capsys):
         code, out, _ = run(capsys, "lint", "--list-passes")
         assert code == 0
-        for name in ("structure", "comm-pairing", "peak-memory", "dead-code"):
-            assert name in out
+        listed = [line.split()[0] for line in out.splitlines()[2:]]
+        assert listed == [
+            "structure", "deadlock", "program-order", "stash-balance",
+            "comm-order", "comm-hol", "peak-memory", "dead-code",
+        ]
 
     def test_explicit_pass_subset(self, capsys):
         code, out, _ = run(

@@ -2,7 +2,7 @@
 
 Memory only changes at stage-local compute instructions, which execute
 serially in program order, so the forward dataflow in
-:func:`repro.schedules.analysis.static_peak_memory` is timing-independent
+:func:`repro.schedules.analysis.memory.static_peak_memory` is timing-independent
 and must reproduce the simulator's per-stage peak bit-for-bit -- for
 every registered schedule, every admissible recompute strategy, and a
 (p, m) grid.  Any divergence means one of the two accountings drifted.
@@ -10,7 +10,7 @@ every registered schedule, every admissible recompute strategy, and a
 
 import pytest
 
-from repro.schedules.analysis import static_peak_memory, stash_liveness
+from repro.schedules.analysis.memory import static_peak_memory
 from repro.schedules.registry import (
     ScheduleBuildError,
     available_schedules,
@@ -65,25 +65,6 @@ def test_static_peak_equals_simulated_peak(name, p, strategy, factor):
     measured = [stage.peak_memory_bytes for stage in result.stages]
     # Bit-exact, not approximate: same floats in the same order.
     assert peaks == measured
-
-
-def test_liveness_trajectory_maximum_is_the_peak():
-    wl = _workload(2)
-    spec = get_schedule("helix")
-    m = _base_micro_batches(spec, 2)
-    sched = spec.build(
-        (2, m),
-        wl.costs(spec.default_recompute),
-        **workload_option_defaults(spec, wl),
-    )
-    static = wl.static_memory()
-    peaks = static_peak_memory(sched, static)
-    for stage in range(sched.num_stages):
-        traj = stash_liveness(sched, stage, static)
-        assert traj, "every stage computes something"
-        assert max(high for _, _, high in traj) == peaks[stage]
-        # Trajectory ends back at the static baseline (stash balance).
-        assert traj[-1][1] == pytest.approx(static)
 
 
 def test_per_stage_static_memory_list_supported():

@@ -20,7 +20,6 @@ from repro.schedules.analysis import (
 from repro.schedules.analysis.commrace import (
     build_channel_graph,
     check_comm_order,
-    check_comm_pairing,
     check_hol_blocking,
 )
 from repro.schedules.analysis.deadcode import check_dead_instructions
@@ -32,6 +31,7 @@ from repro.schedules.ir import (
     Schedule,
     SendInstr,
 )
+from repro.schedules.passes import check_structure
 from repro.schedules.registry import build_schedule
 
 SEG = Segment(SegmentKind.LAYERS, 0, 1)
@@ -67,13 +67,16 @@ def _swap_same_channel_sends(sched):
 
 
 class TestDroppedRecv:
-    def test_comm_pairing_reports_orphaned_send(self):
+    def test_structure_reports_the_unpaired_send(self):
         sched = copy.deepcopy(_built())
         dropped = _drop_first_recv(sched)
-        issues = check_comm_pairing(sched, CTX)
-        orphans = [i for i in issues if "orphaned SEND" in i.message]
+        issues = check_structure(sched)
+        orphans = [i for i in issues if "SEND has no matching RECV" in i.message]
         assert orphans, "dropped recv must orphan its send"
-        assert any(i.tag == dropped.tag for i in orphans)
+        (orphan,) = [i for i in orphans if i.tag == dropped.tag]
+        assert orphan.stage == dropped.peer
+        send = sched.programs[orphan.stage][orphan.step]
+        assert isinstance(send, SendInstr) and send.tag == dropped.tag
         assert all(i.severity is Severity.ERROR for i in orphans)
 
     def test_full_pipeline_fails_and_gates_dependents(self):
@@ -81,11 +84,10 @@ class TestDroppedRecv:
         _drop_first_recv(sched)
         report = SCHEDULE_PASSES.run(sched)
         assert not report.ok
-        assert {"structure", "comm-pairing"} <= {
-            i.pass_name for i in report.errors
-        }
+        assert {i.pass_name for i in report.errors} == {"structure"}
         # Dataflow over unpaired tags is noise; must be skipped, not run.
-        assert "comm-order" in report.skipped
+        for name in ("deadlock", "comm-order", "comm-hol", "dead-code"):
+            assert "structure" in report.skipped[name]
 
 
 class TestSwappedSends:
@@ -117,8 +119,9 @@ class TestPairingDefects:
                 [RecvInstr(1, 0, "t", 32.0)],
             ],
         )
-        issues = check_comm_pairing(s, CTX)
-        assert any("payload size mismatch" in i.message for i in issues)
+        (issue,) = check_structure(s)
+        assert issue.message == "size mismatch for tag t"
+        assert (issue.stage, issue.step, issue.tag) == (0, 0, "t")
 
     def test_endpoint_mismatch_flagged(self):
         s = Schedule(
@@ -129,8 +132,9 @@ class TestPairingDefects:
                 [RecvInstr(2, 0, "t", 8.0)],
             ],
         )
-        issues = check_comm_pairing(s, CTX)
-        assert any("endpoint mismatch" in i.message for i in issues)
+        (issue,) = check_structure(s)
+        assert "endpoints mismatch for tag t" in issue.message
+        assert (issue.stage, issue.step, issue.tag) == (0, 0, "t")
 
     def test_channel_graph_indexes_program_order(self):
         sched = _built()
@@ -263,7 +267,7 @@ class TestDeadInstructions:
 
 
 @pytest.mark.parametrize("mutation,pass_name", [
-    (_drop_first_recv, "comm-pairing"),
+    (_drop_first_recv, "structure"),
     (_swap_same_channel_sends, "comm-order"),
 ])
 def test_each_mutation_caught_by_its_pass(mutation, pass_name):

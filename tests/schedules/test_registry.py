@@ -4,7 +4,6 @@ import pytest
 
 from repro.costmodel.memory import RecomputeStrategy
 from repro.schedules.costs import UnitCosts
-from repro.schedules.passes import run_passes
 from repro.schedules.registry import (
     ScheduleBuildError,
     available_schedules,
@@ -55,7 +54,7 @@ class TestRegistry:
         m = max(spec.micro_batch_divisor(p), 2 * p)
         sched = spec.build((p, m), _costs(L=8))
         assert sched.num_stages == p
-        run_passes(sched)
+        sched.validate()
 
     def test_unknown_option_rejected(self):
         with pytest.raises(ScheduleBuildError, match="unknown option"):

@@ -68,6 +68,28 @@ def _error(server, method, path, payload=None):
     raise AssertionError(f"{method} {path} unexpectedly succeeded")
 
 
+def _one_response_then_eof(server, request):
+    """Send raw ``request`` bytes, read to EOF, and return the one response.
+
+    Fails if anything follows the first response on the connection.
+    """
+    data = b""
+    with socket.create_connection(server.server_address[:2], timeout=5.0) as sock:
+        sock.sendall(request)
+        try:
+            while chunk := sock.recv(65536):
+                data += chunk
+        except ConnectionResetError:  # unread request bytes: RST, not FIN
+            pass
+    head, _, rest = data.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    length = int(headers["Content-Length"])
+    assert headers["Content-Type"] == "application/json"
+    assert rest[length:] == b"", f"a second response followed: {rest[length:]!r}"
+    return int(status_line.split()[1]), json.loads(rest[:length])
+
+
 class TestRouting:
     def test_healthz(self, server):
         status, body = _get(server, "/v1/healthz")
@@ -106,6 +128,40 @@ class TestKeepAlive:
         finally:
             conn.close()
         assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f} s"
+
+    @pytest.mark.parametrize("head,status", [
+        ("POST /v1/nope HTTP/1.1\r\nContent-Length: 2", 404),
+        ("POST /v1/stats HTTP/1.1\r\nContent-Length: 2", 405),
+        ("GET /v1/healthz HTTP/1.1\r\nContent-Length: 2", 200),
+        ("POST /v1/plan HTTP/1.1\r\nContent-Length: -1", 400),
+        ("POST /v1/plan HTTP/1.1\r\nContent-Length: two", 400),
+        (f"POST /v1/plan HTTP/1.1\r\nContent-Length: {(1 << 20) + 1}", 400),
+    ], ids=["404", "405", "get", "negative", "non-numeric", "over-limit"])
+    def test_unread_body_closes_the_connection(self, server, head, status):
+        # A body left in the socket would be parsed as the next request
+        # line, and the pipelined healthz would get an HTML error page.
+        code, payload = _one_response_then_eof(
+            server,
+            f"{head}\r\nHost: localhost\r\n\r\n".encode()
+            + b"{}GET /v1/healthz HTTP/1.1\r\nHost: localhost\r\n\r\n",
+        )
+        assert code == status
+        assert ("error" in payload) == (status != 200)
+
+    def test_a_read_body_keeps_the_connection(self, server):
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            conn.request("POST", "/v1/plan", body=b"{not json")
+            resp = conn.getresponse()
+            assert resp.status == 400 and "JSON" in json.loads(resp.read())["error"]
+            sock = conn.sock
+            conn.request("GET", "/v1/healthz")
+            resp = conn.getresponse()
+            assert resp.status == 200 and json.loads(resp.read())["status"] == "ok"
+            assert conn.sock is sock
+        finally:
+            conn.close()
 
 
 class TestPlanEndpoint:

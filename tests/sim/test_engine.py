@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import abstract_cluster
 from repro.model import Segment, SegmentKind
 from repro.schedules.ir import ComputeInstr, OpType, RecvInstr, Schedule, SendInstr
+from repro.schedules.passes import ScheduleVerificationError
 from repro.sim import DeadlockError, PipelineSimulator, simulate
 
 SEG = Segment(SegmentKind.LAYERS, 0, 1)
@@ -70,6 +71,37 @@ class TestBasicExecution:
         sim.static = [0.0, 0.0]
         with pytest.raises(DeadlockError):
             sim.run()
+
+
+class TestVerify:
+    def test_unpaired_fragment_rejected_before_running(self):
+        s = Schedule("t", 2, 1, [[], [RecvInstr(1, 0, "x", 1.0), _f(1)]])
+        with pytest.raises(ScheduleVerificationError) as err:
+            simulate(s, abstract_cluster(2))
+        # deadlock requires structure, so only structure's finding shows.
+        (issue,) = err.value.issues
+        assert issue.pass_name == "structure" and issue.tag == "x"
+        assert (issue.stage, issue.step) == (1, 0)
+
+    def test_cyclic_wait_rejected_before_running(self):
+        s = Schedule(
+            "t", 2, 1,
+            [
+                [RecvInstr(0, 1, "b", 1.0), SendInstr(0, 1, "a", 1.0)],
+                [RecvInstr(1, 0, "a", 1.0), SendInstr(1, 0, "b", 1.0)],
+            ],
+        )
+        with pytest.raises(ScheduleVerificationError, match="static deadlock"):
+            simulate(s, abstract_cluster(2))
+
+    def test_unbalanced_stash_fragments_accepted(self):
+        # Stash balance is a builder invariant; probes may break it.
+        leak = Schedule("t", 1, 1, [[_f(0, stash=5.0)]])
+        over_release = Schedule("t", 1, 1, [[_f(0, stash=-5.0)]])
+        r = simulate(leak, abstract_cluster(1))
+        assert r.stages[0].peak_memory_bytes == pytest.approx(5.0)
+        r = simulate(over_release, abstract_cluster(1))
+        assert r.makespan == pytest.approx(1.0)
 
 
 class TestEngines:

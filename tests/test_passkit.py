@@ -61,7 +61,7 @@ SCHEDULE = Flavour(
     subject=_schedule,
     builtin=frozenset({
         "structure", "deadlock", "program-order", "stash-balance",
-        "comm-pairing", "comm-order", "comm-hol", "peak-memory", "dead-code",
+        "comm-order", "comm-hol", "peak-memory", "dead-code",
     }),
     subject_keys=("schedule",),
     location={"stage": 0, "step": 12, "tag": "t0"},

@@ -9,7 +9,9 @@ under test is a registry that nothing has looked up yet:
 * registering a built-in name before the first lookup is refused at the
   registration, and later lookups still find the built-in;
 * threads that make the first lookup at the same time all see the full
-  registry.
+  registry;
+* a pass registry lists its built-ins in the order of its built-in
+  modules, even when one of them was imported before the first lookup.
 """
 
 import json
@@ -104,6 +106,18 @@ print(json.dumps(seen))
 """
 
 
+_PASS_ORDER_AFTER_EARLY_IMPORTS = r"""
+import json
+
+import repro.devtools.concurrency
+import repro.schedules.analysis.memory
+from repro.devtools.concurrency.framework import CODE_PASSES
+from repro.schedules.analysis.framework import SCHEDULE_PASSES
+
+print(json.dumps([SCHEDULE_PASSES.names(), CODE_PASSES.names()]))
+"""
+
+
 def _fresh_process(script: str):
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -145,6 +159,17 @@ def test_built_in_name_taken_before_the_first_lookup_is_refused(
     assert "already registered" in probe["refused"]
     assert probe["owner"] == owner
     assert probe["names"] == sorted(every_name())
+
+
+def test_pass_listings_follow_the_built_in_modules():
+    schedule_passes, code_passes = _fresh_process(_PASS_ORDER_AFTER_EARLY_IMPORTS)
+    assert schedule_passes == [
+        "structure", "deadlock", "program-order", "stash-balance",
+        "comm-order", "comm-hol", "peak-memory", "dead-code",
+    ]
+    assert code_passes == [
+        "guarded-by", "lock-order", "blocking-under-lock", "thread-hygiene",
+    ]
 
 
 def test_concurrent_first_lookups_see_every_schedule():
