@@ -14,7 +14,10 @@ Drives the full serving story in one process tree:
    median round trip (a response that waits on the client's delayed
    ACK takes ~40 ms; a warm plan takes a few).
 5. ``GET /v1/stats`` and check the telemetry/cache shape.
-6. Fire a short ``scripts/replay_traffic.py`` burst and let its
+6. Post a body to an unknown path on a kept-alive connection: the 404
+   leaves the body unread, so the server closes the connection and must
+   say so (``will_close``), or the client's next request fails.
+7. Fire a short ``scripts/replay_traffic.py`` burst and let its
    consistency gates (all requests answered, outcome counters add up,
    bounded cold evaluations) finish the job.
 
@@ -95,6 +98,23 @@ def _keepalive_plans(
     finally:
         conn.close()
     return times, outcomes
+
+
+def _unread_body_404(base: str) -> tuple[int, bool]:
+    """POST a body to an unknown path on a kept-alive connection.
+
+    Returns the status and whether the response told the client that
+    the server closes the connection.
+    """
+    url = urllib.parse.urlsplit(base)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+    try:
+        conn.request("POST", "/v1/nope", body=b"{}")
+        resp = conn.getresponse()
+        resp.read()
+        return resp.status, resp.will_close
+    finally:
+        conn.close()
 
 
 def main() -> int:
@@ -195,6 +215,11 @@ def main() -> int:
                 stats["cache"]["backend"] == "sqlite"
                 and stats["cache"]["path"] == store_path,
                 "stats reports the sqlite store",
+            )
+
+            _check(
+                _unread_body_404(base) == (404, True),
+                "a 404 that leaves a body unread sends Connection: close",
             )
 
             print("== replay burst ==")

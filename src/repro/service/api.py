@@ -17,9 +17,10 @@ module stays boring.  Endpoints:
 Errors are JSON too: a malformed or unresolvable request gets ``400``
 with the validator's message, unknown paths ``404``, wrong methods
 ``405``.  A response that leaves a declared request body unread closes
-the connection, so the body is never parsed as the next request.  The
-server is threaded with daemon handler threads, so slow plan
-evaluations never block health checks and Ctrl-C exits promptly.
+the connection, so the body is never parsed as the next request, and
+says so with ``Connection: close``.  The server is threaded with daemon
+handler threads, so slow plan evaluations never block health checks and
+Ctrl-C exits promptly.
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ class PlannerAPIHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:  # tell a keep-alive client to reconnect
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 

@@ -21,10 +21,12 @@ Three properties make it a service rather than a loop around
   trigger exactly one cold evaluation; arrivals after the leader
   finishes are served warm from the cost cache.
 - **Serialized evaluation.**  One sweep runs at a time
-  (``_eval_lock``): the tuner's IR cache and telemetry are
-  single-writer structures, and a plan sweep is CPU-bound anyway --
-  concurrency buys throughput through the shared cache, not through
-  parallel sweeps.  ``workers=N`` still parallelises *within* a sweep.
+  (``_eval_lock``): the sweep telemetry is a single-writer structure,
+  and a plan sweep is CPU-bound anyway -- concurrency buys throughput
+  through the shared cache, not through parallel sweeps.
+  ``workers=N`` still parallelises *within* a sweep.  A sweep keeps
+  nothing it built, so the service's long-lived heap is the cost cache
+  and its bookkeeping.
 - **Background sweeps.**  :meth:`start_sweep` pre-fills a workload
   neighbourhood (a :class:`~repro.workloads.WorkloadGrid`) on a daemon
   thread through :func:`~repro.tuner.grid.tune_grid` into the same
@@ -49,7 +51,6 @@ from repro.schedules.registry import available_schedules, workload_cache_key
 from repro.tuner.autotune import PlanResult, autotune
 from repro.tuner.cache import CostCache
 from repro.tuner.grid import tune_grid
-from repro.tuner.ircache import ScheduleIRCache
 from repro.tuner.telemetry import SweepTelemetry
 from repro.service.telemetry import ServiceTelemetry
 from repro.workloads import (
@@ -318,7 +319,6 @@ class PlannerService:
         self.telemetry = ServiceTelemetry()
         self.sweep_telemetry = SweepTelemetry()
         self.started_at = time.time()
-        self._ir_cache = ScheduleIRCache()
         self._eval_lock = threading.Lock()
         self._inflight_lock = threading.Lock()
         self._inflight: dict[tuple, _Inflight] = {}  # guarded-by: _inflight_lock
@@ -342,7 +342,6 @@ class PlannerService:
                 cache=self.cache,
                 workers=self.workers,
                 prune=query.prune,
-                ir_cache=self._ir_cache,
                 telemetry=self.sweep_telemetry,
             )
             cold = self.cache.stats.misses > misses_before
@@ -510,7 +509,6 @@ class PlannerService:
                     options=options,
                     cache=self.cache,
                     workers=self.workers,
-                    ir_cache=self._ir_cache,
                     telemetry=self.sweep_telemetry,
                 )
             record["candidates"] = len(plans)

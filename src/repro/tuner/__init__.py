@@ -33,7 +33,6 @@ micro-batch count its budget allows) and ranked across the whole grid
 from repro.tuner.autotune import Candidate, PlanResult, autotune
 from repro.tuner.cache import CacheStats, CostCache, costmodel_fingerprint
 from repro.tuner.grid import GridPlan, tune_grid
-from repro.tuner.ircache import ScheduleIRCache
 from repro.tuner.store import SqliteCostStore
 from repro.tuner.telemetry import SweepTelemetry
 
@@ -46,7 +45,6 @@ __all__ = [
     "costmodel_fingerprint",
     "GridPlan",
     "tune_grid",
-    "ScheduleIRCache",
     "SqliteCostStore",
     "SweepTelemetry",
 ]

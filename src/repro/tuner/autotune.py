@@ -22,6 +22,10 @@ cache key, which the serial walk feeds through
 to the serial sweep -- evaluation is a pure function of the candidate
 key, and rows are assembled in sweep order regardless of completion
 order.
+
+A sweep keeps nothing it built: its schedules and timeline references
+belong to one call's evaluation context, which is freed while the
+collector is still paused.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import functools
 import gc
 import itertools
+import threading
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -64,6 +69,11 @@ __all__ = ["Candidate", "PlanResult", "autotune"]
 _MIN_RECORD_OPS = 2000
 
 
+_gc_pause_lock = threading.Lock()
+_gc_pause_depth = 0  # guarded-by: _gc_pause_lock
+_gc_pause_owned = False  # guarded-by: _gc_pause_lock
+
+
 @contextmanager
 def _gc_paused():
     """Pause automatic garbage collection over an allocation burst.
@@ -75,15 +85,25 @@ def _gc_paused():
     counting already reclaims (the sweep's object graphs are acyclic).
     Pausing collection for the sweep removes that overhead; the next
     allocation after re-enabling triggers a normal collection.
+
+    The collector switch is process-wide, so pauses nest across threads:
+    the first entrant disables collection if it was enabled, and only
+    the last one to leave restores it.  A collector the caller disabled
+    beforehand stays disabled.
     """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
+    global _gc_pause_depth, _gc_pause_owned
+    with _gc_pause_lock:
+        if _gc_pause_depth == 0:
+            _gc_pause_owned = gc.isenabled()
+            gc.disable()
+        _gc_pause_depth += 1
     try:
         yield
     finally:
-        gc.enable()
+        with _gc_pause_lock:
+            _gc_pause_depth -= 1
+            if _gc_pause_depth == 0 and _gc_pause_owned:
+                gc.enable()
 
 
 @dataclass(frozen=True)
@@ -240,17 +260,18 @@ class _EvalContext:
     sweep evaluates each exactly once; cost providers are further shared
     per recompute strategy (builders never mutate them).
 
-    The context also owns the sweep's build/simulate fast paths:
+    The context also owns the sweep's simulate fast path:
 
-    * ``ir_cache`` memoizes built IR under its structural key, so a
-      configuration revisited by a warm re-sweep, another grid point or
-      a parallel worker is never rebuilt;
     * ``incremental`` turns on prefix re-simulation for candidate
       *families* (same schedule/m/options, different recompute): the
       first sibling simulated records a timeline reference, later
       siblings resume it (:mod:`repro.sim.incremental`), with metrics
-      bit-identical to a full simulation either way;
+      bit-identical to a full simulation either way.  The references
+      are private to the context and die with it;
     * ``telemetry`` accumulates per-phase wall time and counters.
+
+    Builds are not memoized: the cost cache evaluates a key at most
+    once, so a memo under that key could never hit.
 
     ``wkey`` is the workload's :func:`workload_cache_key`, and
     ``candidates`` the ones this context will evaluate: their sibling
@@ -264,14 +285,13 @@ class _EvalContext:
         wkey: tuple,
         candidates: Iterable[Candidate],
         *,
-        ir_cache: ScheduleIRCache | None = None,
         incremental: bool = True,
         telemetry: SweepTelemetry | None = None,
     ) -> None:
         self.workload = workload
         self.memory_cap_bytes = float(memory_cap_bytes)
         self.wkey = wkey
-        self.ir_cache = ir_cache
+        self.references = ScheduleIRCache()
         self.incremental = incremental
         self.telemetry = telemetry
         # Sibling-family multiplicity decides whether the first simulated
@@ -312,24 +332,8 @@ class _EvalContext:
         )
 
     def build_schedule(self, spec: ScheduleSpec, cand: Candidate, opts: dict):
-        """Build (or fetch) the candidate's IR; cached structurally."""
+        """Build the candidate's IR."""
         tel = self.telemetry
-        cache = self.ir_cache
-        key = None
-        if cache is not None:
-            key = (
-                self.wkey,
-                self.memory_cap_bytes,
-                cand.schedule,
-                cand.recompute.value,
-                cand.num_micro_batches,
-                cand.options,
-            )
-            sched = cache.get(key)
-            if sched is not None:
-                if tel is not None:
-                    tel.build_cache_hits += 1
-                return sched
         t0 = time.perf_counter()
         sched = spec.build(
             (self.workload.p, cand.num_micro_batches),
@@ -340,8 +344,6 @@ class _EvalContext:
         if tel is not None:
             tel.build_s += time.perf_counter() - t0
             tel.built += 1
-        if cache is not None:
-            cache.put(key, sched)
         return sched
 
     def simulate_candidate(self, cand: Candidate, sched):
@@ -357,10 +359,9 @@ class _EvalContext:
         tel = self.telemetry
         t0 = time.perf_counter()
         try:
-            cache = self.ir_cache
-            if self.incremental and cache is not None:
+            if self.incremental:
                 fam = self.family_key(cand)
-                ref = cache.get_reference(fam)
+                ref = self.references.get_reference(fam)
                 if ref is not None:
                     result, stats = resimulate(
                         ref,
@@ -385,7 +386,7 @@ class _EvalContext:
                         static_memory_bytes=self.static_memory(),
                         verify=False,
                     )
-                    cache.put_reference(fam, ref)
+                    self.references.put_reference(fam, ref)
                     if tel is not None:
                         tel.references_recorded += 1
                     return ref.result
@@ -479,7 +480,6 @@ def autotune(
     cache: CostCache | None = None,
     workers: int | None = None,
     prune: bool = True,
-    ir_cache: ScheduleIRCache | None = None,
     incremental: bool = True,
     telemetry: SweepTelemetry | None = None,
 ) -> list[PlanResult]:
@@ -535,19 +535,13 @@ def autotune(
         :attr:`CacheStats.pruned`, and never enter the cache -- a warm
         re-sweep replays the identical decisions.  ``prune=False`` is
         the exhaustive escape hatch.
-    ir_cache:
-        :class:`ScheduleIRCache` memoizing built IR under its structural
-        key (workload, cap, schedule, recompute, m, options), so each
-        distinct IR builds exactly once per cache lifetime.  ``None``
-        (default) uses a fresh private cache for this sweep; pass a
-        shared instance to reuse builds across sweeps
-        (:func:`repro.tuner.grid.tune_grid` does).
     incremental:
         Re-simulate candidate *families* (same schedule/m/options,
         different recompute strategy) incrementally: the first sibling
         records its event timeline, later siblings resume from the last
         checkpoint before their first timing divergence
-        (:mod:`repro.sim.incremental`).  Metrics -- and therefore
+        (:mod:`repro.sim.incremental`).  Recorded timelines are private
+        to this call and freed with it.  Metrics -- and therefore
         winners, rankings and cached records -- are bit-identical to
         full simulation; ``incremental=False`` is the escape hatch that
         forces every candidate through the from-scratch simulator.
@@ -564,8 +558,6 @@ def autotune(
         their reasons, in sweep order.
     """
     cache = CostCache() if cache is None else cache
-    if ir_cache is None:
-        ir_cache = ScheduleIRCache()
     if memory_cap_bytes is None:
         memory_cap_bytes = float(workload.cluster.node.gpu.hbm_bytes)
 
@@ -581,15 +573,6 @@ def autotune(
         )
         rows.append(None)
 
-    ctx = _EvalContext(
-        workload,
-        memory_cap_bytes,
-        wkey,
-        [cand for _, cand, _ in pending],
-        ir_cache=ir_cache,
-        incremental=incremental,
-        telemetry=telemetry,
-    )
     if telemetry is not None:
         telemetry.candidates += len(pending)
 
@@ -669,6 +652,14 @@ def autotune(
     best_tps = 0.0
     t_eval = time.perf_counter()
     with _gc_paused():
+        ctx = _EvalContext(
+            workload,
+            memory_cap_bytes,
+            wkey,
+            [cand for _, cand, _ in pending],
+            incremental=incremental,
+            telemetry=telemetry,
+        )
         for i in order:
             idx, cand, key = pending[i]
             if key not in held and ubs is not None and ubs[i] < best_tps:
@@ -697,6 +688,9 @@ def autotune(
             rows[idx] = row
             if row.feasible and row.tokens_per_s > best_tps:
                 best_tps = row.tokens_per_s
+        # Free the schedules and timeline references the context holds
+        # before the collector resumes, so no collection scans them.
+        del ctx
     if telemetry is not None:
         telemetry.eval_s += time.perf_counter() - t_eval
 

@@ -33,7 +33,6 @@ from typing import Sequence
 
 from repro.tuner.autotune import PlanResult, autotune
 from repro.tuner.cache import CostCache
-from repro.tuner.ircache import ScheduleIRCache
 from repro.tuner.telemetry import SweepTelemetry
 from repro.workloads import WorkloadGrid, WorkloadPoint
 
@@ -77,7 +76,6 @@ def tune_grid(
     cache: CostCache | None = None,
     workers: int | None = None,
     prune: bool = True,
-    ir_cache: ScheduleIRCache | None = None,
     incremental: bool = True,
     telemetry: SweepTelemetry | None = None,
 ) -> list[GridPlan]:
@@ -91,14 +89,13 @@ def tune_grid(
     grid points first (in grid order), then per-point infeasible
     candidates (in sweep order).
 
-    All points share one :class:`~repro.tuner.ircache.ScheduleIRCache`
-    (created here when ``ir_cache`` is ``None``): IR keys embed the
-    workload identity, so distinct points never alias, while re-swept
-    points reuse their builds outright.  ``telemetry`` likewise
-    aggregates across every point of the grid.
+    Points share only ``cache`` (candidate keys embed the workload
+    identity, so distinct points never alias) and ``telemetry``, which
+    aggregates across every point of the grid.  Each point's
+    :func:`autotune` call frees what it built before the next point
+    starts.
     """
     cache = CostCache() if cache is None else cache
-    ir_cache = ScheduleIRCache() if ir_cache is None else ir_cache
     feasible: list[GridPlan] = []
     dead_points: list[GridPlan] = []
     infeasible: list[GridPlan] = []
@@ -115,7 +112,6 @@ def tune_grid(
             cache=cache,
             workers=workers,
             prune=prune,
-            ir_cache=ir_cache,
             incremental=incremental,
             telemetry=telemetry,
         )

@@ -1,29 +1,17 @@
-"""Structural build cache for schedule IR and simulation references.
+"""Per-call store of the auto-tuner's sibling simulation references.
 
-Building a candidate's IR (task-graph planning + instruction emission)
-dominates the auto-tuner's cold path, and the *same* IR is rebuilt
-whenever sweeps revisit a configuration: a workload grid re-sweeping a
-point, a warm re-run after a pruning-policy change, parallel workers
-re-deriving what a neighbour already built.  A :class:`ScheduleIRCache`
-memoizes built :class:`~repro.schedules.ir.Schedule` objects under their
-full structural identity so each distinct IR is built exactly once per
-cache lifetime.
+Each :func:`repro.tuner.autotune` call, and each pool worker's chunk,
+owns one :class:`ScheduleIRCache` and uses only its per-*family* half:
+the first simulated member of a candidate family (same key minus the
+recompute strategy) records a :class:`~repro.sim.incremental.SimReference`,
+and its siblings resume that timeline prefix
+(:func:`~repro.sim.incremental.resimulate`).  The cache dies with the
+call, so nothing it holds outlives the sweep.
 
-The cache key is the complete set of inputs the build is a function of::
-
-    (workload_key, memory_cap_bytes, schedule, recompute, m, options)
-
-``recompute`` *must* be part of the key: helix plans are not
-recompute-invariant (durations feed the list scheduler's readiness
-order), so two strategies with identical structure can still emit
-different instruction streams.  Cross-recompute reuse happens one level
-down instead, at the simulation-timeline level -- the cache also stores
-one :class:`~repro.sim.incremental.SimReference` per *family* (same key
-minus the recompute strategy) so siblings can resume the recorded
-timeline prefix (:func:`~repro.sim.incremental.resimulate`).
-
-Cached schedules are shared, not copied: treat them as immutable (the
-tuner and simulator only read them).
+The built-IR half (:meth:`~ScheduleIRCache.get`/:meth:`~ScheduleIRCache.put`)
+has no caller in the tuner: the cost cache evaluates each candidate key
+at most once, so a build memo under that key could never hit.  The
+benchmark's span launcher still wraps both methods by name.
 """
 
 from __future__ import annotations

@@ -24,7 +24,13 @@ __all__ = ["SweepTelemetry"]
 
 @dataclass
 class SweepTelemetry:
-    """Wall-clock seconds and counters per sweep phase."""
+    """Wall-clock seconds and counters per sweep phase.
+
+    ``built`` counts every build: a cold candidate is built once, and no
+    build is memoized.  ``references_recorded``, ``incremental_hits``
+    and ``incremental_fallbacks`` count sibling timelines recorded,
+    resumed, and re-run in full.
+    """
 
     build_s: float = 0.0
     simulate_s: float = 0.0
@@ -33,7 +39,6 @@ class SweepTelemetry:
     candidates: int = 0
     built: int = 0
     simulated: int = 0
-    build_cache_hits: int = 0
     references_recorded: int = 0
     incremental_hits: int = 0
     incremental_fallbacks: int = 0
@@ -60,7 +65,6 @@ class SweepTelemetry:
             "candidates": self.candidates,
             "built": self.built,
             "simulated": self.simulated,
-            "build_cache_hits": self.build_cache_hits,
             "references_recorded": self.references_recorded,
             "incremental_hits": self.incremental_hits,
             "incremental_fallbacks": self.incremental_fallbacks,

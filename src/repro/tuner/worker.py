@@ -38,11 +38,12 @@ def evaluate_chunk(
     replays the returned records through its own cache, so hit/miss
     accounting happens there.
 
-    Each worker owns a private :class:`~repro.tuner.ircache.ScheduleIRCache`
-    (built IR and simulation references do not pickle across the pool
-    economically), so within a chunk every distinct IR builds once and
-    sibling candidates re-simulate incrementally -- results are
-    bit-identical to the serial sweep's either way.
+    Built IR and simulation references do not pickle across the pool
+    economically, so the chunk gets its own evaluation context: sibling
+    candidates re-simulate incrementally within it, with results
+    bit-identical to the serial sweep's either way.  The context is
+    freed before the collector resumes, so no built object outlives the
+    chunk.
     """
     # Imported here, not at module top: autotune imports this module, so
     # a top-level back-import would be circular.
@@ -52,19 +53,15 @@ def evaluate_chunk(
         _EvalContext,
         _gc_paused,
     )
-    from repro.tuner.ircache import ScheduleIRCache
 
     wkey = workload_cache_key(workload)
-    ctx = _EvalContext(
-        workload,
-        memory_cap_bytes,
-        wkey,
-        candidates,
-        ir_cache=ScheduleIRCache(),
-        incremental=incremental,
-    )
     with _gc_paused():
-        return {
+        ctx = _EvalContext(
+            workload, memory_cap_bytes, wkey, candidates, incremental=incremental
+        )
+        records = {
             _candidate_key(wkey, cand, memory_cap_bytes): _cold_evaluate(ctx, cand)
             for cand in candidates
         }
+        del ctx  # its schedules and references die before collection resumes
+    return records

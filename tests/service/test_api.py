@@ -86,6 +86,7 @@ def _one_response_then_eof(server, request):
     headers = dict(line.split(": ", 1) for line in header_lines)
     length = int(headers["Content-Length"])
     assert headers["Content-Type"] == "application/json"
+    assert headers["Connection"] == "close"
     assert rest[length:] == b"", f"a second response followed: {rest[length:]!r}"
     return int(status_line.split()[1]), json.loads(rest[:length])
 
@@ -148,14 +149,40 @@ class TestKeepAlive:
         assert code == status
         assert ("error" in payload) == (status != 200)
 
+    @pytest.mark.parametrize("method,path,status", [
+        ("POST", "/v1/nope", 404),
+        ("POST", "/v1/stats", 405),
+        ("GET", "/v1/healthz", 200),
+    ], ids=["404", "405", "get"])
+    def test_a_closing_response_says_so(self, server, method, path, status):
+        # Without `Connection: close` the client keeps using the socket
+        # the server closed, and its next request fails.
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            conn.request(method, path, body=b"{}")
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == status and resp.will_close
+            conn.request("GET", "/v1/healthz")
+            assert conn.getresponse().status == 200
+        finally:
+            conn.close()
+
     def test_a_read_body_keeps_the_connection(self, server):
         host, port = server.server_address[:2]
         conn = http.client.HTTPConnection(host, port, timeout=30)
         try:
+            conn.request("POST", "/v1/plan", body=json.dumps(_BODY))
+            resp = conn.getresponse()
+            assert resp.status == 200 and not resp.will_close
+            assert resp.getheader("Connection") is None
+            resp.read()
+            sock = conn.sock
             conn.request("POST", "/v1/plan", body=b"{not json")
             resp = conn.getresponse()
-            assert resp.status == 400 and "JSON" in json.loads(resp.read())["error"]
-            sock = conn.sock
+            assert resp.status == 400 and not resp.will_close
+            assert "JSON" in json.loads(resp.read())["error"]
             conn.request("GET", "/v1/healthz")
             resp = conn.getresponse()
             assert resp.status == 200 and json.loads(resp.read())["status"] == "ok"
@@ -253,7 +280,7 @@ class TestPlanEndpoint:
             )
             resp = http.client.HTTPResponse(sock)
             resp.begin()
-            assert resp.status == 400
+            assert resp.status == 400 and resp.will_close
             assert "Transfer-Encoding" in json.loads(resp.read())["error"]
             try:
                 closed = sock.recv(1) == b""

@@ -7,6 +7,7 @@ import pytest
 from repro.service import PlannerService, parse_plan_request, plan_payload
 from repro.tuner import CostCache, autotune
 from repro.workloads import MAX_MICRO_BATCHES, Workload
+from tests.tuner.test_ircache import alive, collector_off, record_builds
 
 # One tiny deterministic workload shared by every evaluation test: a
 # 2-stage pipeline at 8k tokens with a single schedule and no option
@@ -181,6 +182,22 @@ class TestPlan:
         assert len(calls) == 1
         # The failed flight is deregistered: a later request retries.
         assert not service._inflight
+
+
+class TestNothingRetained:
+    def test_a_cold_plan_keeps_nothing_it_built(self, monkeypatch):
+        # Reference counting alone must free every schedule and timeline
+        # the plan's sweep built: the service holds no IR between plans.
+        schedules, references = record_builds(monkeypatch)
+        service = PlannerService()
+        body = {"model": "1.3B", "gpu": "H20", "p": 4, "seq_len": "8k",
+                "schedules": ["helix"], "prune": False}
+        with collector_off():
+            answer = service.plan(body)
+            left = alive(schedules) + alive(references)
+        assert answer["outcome"] == "cold"
+        assert schedules and references
+        assert left == []
 
 
 class TestSweeps:

@@ -1,6 +1,10 @@
 """Auto-tuner: candidate sweep, memory cap, memoizing cache, acceptance."""
 
 import dataclasses
+import gc
+import sys
+import threading
+import time
 
 import pytest
 
@@ -8,7 +12,7 @@ from repro.costmodel.memory import RecomputeStrategy
 from repro.experiments.common import METHODS, Workload, run_method
 from repro.schedules.registry import stable_value_key, workload_cache_key
 from repro.tuner import CostCache, autotune
-from repro.tuner.autotune import _candidate_key, _iter_grid
+from repro.tuner.autotune import _candidate_key, _gc_paused, _iter_grid
 
 GIB = float(1 << 30)
 
@@ -246,6 +250,79 @@ class TestFillBudgetParity:
         by_cand = {p.candidate: p for p in full}
         for plan in filled:
             assert by_cand[plan.candidate] == plan
+
+
+class TestGcPaused:
+    @pytest.fixture(autouse=True)
+    def _restore_the_collector(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+
+    def test_overlapping_pauses_hold_until_the_last_one_leaves(self):
+        # Thread A pauses first and leaves first; B's pause spans A's
+        # exit, so the collector must stay off until B leaves.
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def a():
+            with _gc_paused():
+                a_in.set()
+                b_in.wait(10)
+            a_out.set()
+
+        def b():
+            a_in.wait(10)
+            with _gc_paused():
+                b_in.set()
+                a_out.wait(10)
+                seen["enabled_after_a_left"] = gc.isenabled()
+
+        assert gc.isenabled()
+        threads = [threading.Thread(target=f) for f in (a, b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(20)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {"enabled_after_a_left": False}
+        assert gc.isenabled()
+
+    def test_no_thread_sees_the_collector_on_inside_a_pause(self):
+        # More threads than cores and a tiny switch interval: a lost
+        # update of the pause depth would re-enable the collector while
+        # another thread is still inside its pause.
+        seen_on = []
+
+        def worker():
+            for _ in range(200):
+                with _gc_paused():
+                    time.sleep(0)  # let another thread enter or leave
+                    if gc.isenabled():
+                        seen_on.append(threading.current_thread().name)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen_on == []
+        assert gc.isenabled()
+
+    def test_a_collector_disabled_beforehand_stays_disabled(self):
+        gc.disable()
+        with _gc_paused():
+            with _gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert not gc.isenabled()
 
 
 class TestAcceptance:

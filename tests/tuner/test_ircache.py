@@ -1,27 +1,33 @@
-"""`ScheduleIRCache` correctness: keys, sharing, and sweep equivalence.
+"""`ScheduleIRCache` and what a sweep keeps: keys, references, lifetimes.
 
-The structural build cache may only ever return the IR that the exact
-same build inputs would have produced -- so the suite checks that cache
-keys separate every axis of the candidate space (schedule, recompute,
-micro-batch count, each option grid point), that warm sweeps served
-from a shared cache are bit-identical to cold ones, that incremental
-re-simulation and parallel workers agree with the plain serial path,
-and that the LRU bounds hold.
+A sweep's schedules and sibling timeline references belong to one call:
+the suite checks that candidate keys separate every axis of the
+candidate space (schedule, recompute, micro-batch count, each option
+grid point), that incremental re-simulation and parallel workers agree
+with the plain serial path, that the LRU bounds hold, and that nothing
+a sweep built is alive once it returns -- freed by reference counting,
+before the collector resumes.
 """
+
+import gc
+import sys
+import weakref
+from contextlib import contextmanager
 
 import pytest
 
 from repro.costmodel.memory import RecomputeStrategy
 from repro.schedules.ir import Schedule
-from repro.schedules.registry import workload_cache_key
-from repro.tuner import (
-    CostCache,
-    ScheduleIRCache,
-    SweepTelemetry,
-    autotune,
-    tune_grid,
+from repro.schedules.registry import ScheduleSpec, workload_cache_key
+from repro.tuner import CostCache, SweepTelemetry, autotune, tune_grid
+from repro.tuner.autotune import (
+    _candidate_key,
+    _cold_evaluate,
+    _EvalContext,
+    _to_plan_result,
 )
-from repro.tuner.autotune import _cold_evaluate, _EvalContext, _to_plan_result
+from repro.tuner.ircache import ScheduleIRCache
+from repro.tuner.worker import evaluate_chunk
 from repro.workloads import Workload, WorkloadGrid
 from tests.tuner.test_autotune import grid_points
 
@@ -29,20 +35,55 @@ WL = Workload.paper("1.3B", "H20", 4, 8192)
 
 
 def _ir_key(cand, wkey=("w",), cap=1.0):
-    """The structural key `_EvalContext.build_schedule` uses."""
-    return (
-        wkey,
-        cap,
-        cand.schedule,
-        cand.recompute.value,
-        cand.num_micro_batches,
-        cand.options,
-    )
+    """A candidate's cost-cache key."""
+    return _candidate_key(wkey, cand, cap)
 
 
 def _rows(**kw):
     kw.setdefault("cache", CostCache())
     return autotune(WL, **kw)
+
+
+def record_builds(monkeypatch):
+    """Weak references to every schedule built and timeline recorded.
+
+    Returns ``(schedules, references)``: one weakref per
+    :class:`Schedule` that ``ScheduleSpec.build`` returns and per
+    ``SimReference`` the tuner records, from now on.
+    """
+    autotune_mod = sys.modules["repro.tuner.autotune"]
+    schedules, references = [], []
+    build, record = ScheduleSpec.build, autotune_mod.simulate_recording
+
+    def tracked_build(self, *args, **kwargs):
+        sched = build(self, *args, **kwargs)
+        schedules.append(weakref.ref(sched))
+        return sched
+
+    def tracked_record(*args, **kwargs):
+        ref = record(*args, **kwargs)
+        references.append(weakref.ref(ref))
+        return ref
+
+    monkeypatch.setattr(ScheduleSpec, "build", tracked_build)
+    monkeypatch.setattr(autotune_mod, "simulate_recording", tracked_record)
+    return schedules, references
+
+
+@contextmanager
+def collector_off():
+    """Disable automatic collection, so only reference counting frees."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def alive(refs):
+    return [r for r in refs if r() is not None]
 
 
 class TestKeys:
@@ -115,30 +156,17 @@ class TestSweepEquivalence:
     def test_incremental_off_is_bit_identical(self):
         assert _rows() == _rows(incremental=False)
 
-    def test_no_ir_cache_warm_rerun_is_bit_identical(self):
-        # Same private cache across two sweeps: the second run is served
-        # from warm IR yet must reproduce the cold rows exactly.
-        shared = ScheduleIRCache()
-        tel = SweepTelemetry()
-        cold = _rows(ir_cache=shared, telemetry=tel)
-        hits_after_cold = shared.hits
-        warm = _rows(ir_cache=shared, telemetry=tel)
-        assert warm == cold
-        assert shared.hits > hits_after_cold
-
     def test_parallel_equals_serial(self):
         serial = _rows()
         parallel = _rows(workers=2)
         assert parallel == serial
 
     def test_shared_cache_across_recomputes_no_false_hits(self):
-        # A cache warmed by one recompute strategy must never serve
-        # another strategy's build: every row of a helix sweep over both
-        # its strategies from one IR cache must match evaluating that
-        # candidate alone, with no IR cache and no incremental resume.
-        together = _rows(
-            schedules=["helix"], ir_cache=ScheduleIRCache(), prune=False
-        )
+        # A reference recorded by one recompute strategy must never
+        # leak into another strategy's result: every row of a helix
+        # sweep over both its strategies must match evaluating that
+        # candidate alone, with no incremental resume.
+        together = _rows(schedules=["helix"], prune=False)
         assert {r.candidate.recompute for r in together} == {
             RecomputeStrategy.NONE,
             RecomputeStrategy.WITHOUT_ATTENTION,
@@ -160,7 +188,6 @@ class TestTelemetry:
         assert tel.candidates == len(rows)
         assert tel.built > 0
         assert tel.simulated > 0
-        assert tel.build_cache_hits == 0  # fresh private cache
         assert tel.incremental_fallbacks == 0
         assert tel.eval_s >= tel.build_s + tel.simulate_s - 1e-9
         snap = tel.as_dict()
@@ -172,28 +199,62 @@ class TestTelemetry:
 
 
 class TestGridSharing:
-    def test_tune_grid_shares_one_cache_across_points(self):
-        grid = WorkloadGrid(
-            seq_lens=(8192,), pipeline_sizes=(2, 4), budget_tokens=1 << 16
-        )
-        shared = ScheduleIRCache()
-        first = tune_grid(grid, cache=CostCache(), ir_cache=shared)
-        misses_after_first = shared.misses
-        # Re-sweeping the same grid through the same cache hits for
-        # every build and changes nothing in the ranking.
-        second = tune_grid(grid, cache=CostCache(), ir_cache=shared)
-        assert [r.label for r in second] == [r.label for r in first]
-        assert shared.hits > 0
-        assert shared.misses == misses_after_first
-
     def test_tune_grid_points_never_alias(self):
-        # Distinct p in one shared cache: every feasible row's plan must
-        # carry its own point's stage count (an aliased IR would leak a
-        # wrong-p schedule across points).
+        # Distinct p over one cost cache: every row must match a sweep
+        # that re-simulates each candidate from scratch (an aliased
+        # schedule or reference would leak a wrong-p result across
+        # points).
         grid = WorkloadGrid(
             seq_lens=(8192,), pipeline_sizes=(2, 4), budget_tokens=1 << 16
         )
-        rows = tune_grid(grid, cache=CostCache(), ir_cache=ScheduleIRCache())
-        baseline = tune_grid(grid, cache=CostCache(), ir_cache=None,
-                             incremental=False)
+        rows = tune_grid(grid, cache=CostCache())
+        baseline = tune_grid(grid, cache=CostCache(), incremental=False)
         assert [r.label for r in rows] == [r.label for r in baseline]
+
+
+class TestNothingRetained:
+    """Reference counting alone frees everything a sweep built."""
+
+    @pytest.mark.parametrize("sweep", ["autotune", "tune_grid", "chunk"])
+    def test_built_objects_die_with_the_call(self, monkeypatch, sweep):
+        schedules, references = record_builds(monkeypatch)
+        cap = float(WL.cluster.node.gpu.hbm_bytes)
+        with collector_off():
+            if sweep == "autotune":
+                _rows(schedules=["helix"], prune=False)
+            elif sweep == "tune_grid":
+                tune_grid(
+                    WorkloadGrid(model="1.3B", seq_lens=(8192,),
+                                 pipeline_sizes=(2, 4), budget_tokens=1 << 16),
+                    schedules=["helix"],
+                )
+            else:
+                evaluate_chunk(WL, cap, grid_points(WL, schedules=["helix"]))
+            left = alive(schedules) + alive(references)
+        assert schedules and references
+        assert left == []
+
+    def test_ir_is_freed_before_the_collector_resumes(self, monkeypatch):
+        # With a threshold of one, the first allocation after the pause
+        # ends runs a collection; none runs during the pause.  At that
+        # first collection after a build, nothing built may be alive.
+        schedules, references = record_builds(monkeypatch)
+        at_first_collection = []
+
+        def hook(phase, info):
+            if phase == "start" and schedules and not at_first_collection:
+                at_first_collection.append(
+                    len(alive(schedules) + alive(references))
+                )
+
+        assert gc.isenabled()
+        threshold = gc.get_threshold()
+        gc.callbacks.append(hook)
+        gc.set_threshold(1)
+        try:
+            _rows(schedules=["helix"])
+        finally:
+            gc.set_threshold(*threshold)
+            gc.callbacks.remove(hook)
+        assert references
+        assert at_first_collection == [0]
