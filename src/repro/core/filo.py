@@ -59,7 +59,7 @@ from repro.schedules.ir import (
     instr_from_proto,
 )
 from repro.costmodel.memory import RecomputeStrategy
-from repro.schedules.planner import PlannedTask, critical_path_levels, list_schedule
+from repro.schedules.planner import PlannedTask, list_schedule
 from repro.schedules.registry import register_schedule
 
 __all__ = ["build_helix_filo", "HelixFiloBuilder"]
@@ -138,12 +138,6 @@ class HelixFiloBuilder:
     fold: int = 2
     include_embed: bool = True
     include_head: bool = True
-    #: List-scheduling priority: "filo" (loop/position order; default --
-    #: reproduces the paper's figures exactly for single-loop runs and
-    #: keeps the two-fold bubble independent of the loop count), "hlf"
-    #: (highest critical-path level first) or "hybrid" (level within
-    #: loop).  The alternatives are kept as ablation knobs.
-    priority: str = "filo"
 
     def __post_init__(self) -> None:
         p, m, f = self.num_stages, self.num_micro_batches, self.fold
@@ -223,16 +217,6 @@ class HelixFiloBuilder:
         self._tag_dattn = tuple(f"h.d_attn_out:L{l}:mb" for l in range(L))
 
     # -- helpers -----------------------------------------------------------------
-
-    def _owner(self, pos: int) -> int:
-        return owner_stage(pos, self.num_stages, self.L)
-
-    def _attn_stage(self, layer: int, mb: int) -> int:
-        return attention_stage(layer, mb, self.num_stages, self.fold)
-
-    @staticmethod
-    def _tag(kind: str, layer: int, mb: int) -> str:
-        return f"h.{kind}:L{layer}:mb{mb}"
 
     def _owner_cost(self, pos: int) -> tuple[float, float, float]:
         """(forward, backward incl. head/embed, recompute) duration at pos."""
@@ -383,28 +367,11 @@ class HelixFiloBuilder:
                     tid += 1
         return tasks
 
-    # -- list scheduling ---------------------------------------------------------------
-
-    def _plan(self, tasks: list[PlannedTask]) -> list[list[PlannedTask]]:
-        """Apply the priority mode and run the shared list scheduler."""
-        if self.priority == "hlf":
-            level = critical_path_levels(tasks)
-            for t in tasks:
-                t.key = (-level[t.tid], *t.key)
-        elif self.priority == "hybrid":
-            level = critical_path_levels(tasks)
-            for t in tasks:
-                phase, g, rest = t.key[0], t.key[1], t.key[2:]
-                t.key = (phase, g, -level[t.tid], *rest)
-        elif self.priority != "filo":
-            raise ValueError(f"unknown priority {self.priority!r}")
-        return list_schedule(tasks, self.num_stages)
-
     # -- build -------------------------------------------------------------------
 
     def build(self) -> Schedule:
         tasks = self._build_tasks()
-        order = self._plan(tasks)
+        order = list_schedule(tasks, self.num_stages)
         programs: list[list[Instr]] = [[] for _ in range(self.num_stages)]
         for stage, seq in enumerate(order):
             prog = programs[stage]

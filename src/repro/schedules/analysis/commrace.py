@@ -86,10 +86,11 @@ def build_channel_graph(schedule: Schedule) -> ChannelGraph:
     g = ChannelGraph()
     for stage, prog in enumerate(schedule.programs):
         for step, instr in enumerate(prog):
-            op = CommOp(stage=stage, step=step, instr=instr)
             if isinstance(instr, SendInstr):
+                op = CommOp(stage=stage, step=step, instr=instr)
                 g.sends.setdefault((stage, instr.peer), []).append(op)
             elif isinstance(instr, RecvInstr):
+                op = CommOp(stage=stage, step=step, instr=instr)
                 g.recvs.setdefault((instr.peer, stage), []).append(op)
                 g.recv_by_tag.setdefault(instr.tag, op)
     return g

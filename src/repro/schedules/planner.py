@@ -17,7 +17,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["PlannedTask", "list_schedule", "critical_path_levels"]
+__all__ = ["PlannedTask", "list_schedule"]
 
 
 @dataclass
@@ -32,29 +32,6 @@ class PlannedTask:
     payload: Any = None
     undone_deps: int = field(default=0, repr=False)
     start: float = field(default=0.0, repr=False)
-
-
-def critical_path_levels(tasks: list["PlannedTask"]) -> dict[int, float]:
-    """Remaining critical-path length (own duration included) per task."""
-    by_id = {t.tid: t for t in tasks}
-    dependents: dict[int, list[int]] = {t.tid: [] for t in tasks}
-    for t in tasks:
-        for d in t.deps:
-            dependents[d].append(t.tid)
-    level: dict[int, float] = {}
-    remaining = {t.tid: len(dependents[t.tid]) for t in tasks}
-    stack = [tid for tid, n in remaining.items() if n == 0]
-    while stack:
-        tid = stack.pop()
-        t = by_id[tid]
-        level[tid] = t.duration + max((level[d] for d in dependents[tid]), default=0.0)
-        for d in t.deps:
-            remaining[d] -= 1
-            if remaining[d] == 0:
-                stack.append(d)
-    if len(level) != len(tasks):
-        raise RuntimeError("cycle detected while computing critical-path levels")
-    return level
 
 
 def list_schedule(tasks: list[PlannedTask], num_stages: int) -> list[list[PlannedTask]]:

@@ -189,23 +189,12 @@ class PipelineSimulator:
             raise ValueError("static_memory_bytes must have one entry per stage")
         self.static = [float(x) for x in static_memory_bytes]
 
-    # -- compilation ---------------------------------------------------------
-
-    def _compile(self) -> tuple[list[list[tuple]], list[str]]:
-        """Lower each program to primitive opcode tuples.
-
-        Delegates to the module-level :func:`compile_programs` (shared
-        with the incremental re-simulator, which needs a common tag
-        interning table across sibling compilations).
-        """
-        return compile_programs(self.schedule, self.cluster)
-
     # -- public API ----------------------------------------------------------
 
     def run(self) -> SimResult:
         p = self.schedule.num_stages
         half = self.duplex == "half"
-        programs, _ = self._compile()
+        programs, _ = compile_programs(self.schedule, self.cluster)
         sizes = [len(ops) for ops in programs]
 
         # Per-stage scalar state in parallel lists (cheaper than
@@ -229,9 +218,7 @@ class PipelineSimulator:
         pending: list[tuple] = []  # (ready_time, seq, send_op)
         tseq = count()
         arrived: set[int] = set()
-        # getattr: tests construct half-initialised simulators via
-        # __new__ to poke the deadlock path; default to tracing.
-        trace = Trace() if getattr(self, "record_trace", True) else None
+        trace = Trace() if self.record_trace else None
         heappush, heappop = heapq.heappush, heapq.heappop
 
         def start_transfers(now: float) -> None:

@@ -1,13 +1,17 @@
 """Incremental re-simulation: replay a shared timeline prefix.
 
-The auto-tuner frequently simulates *families* of candidate schedules
-that share structure and diverge only late in their instruction streams:
-recompute siblings (``NONE`` vs ``WITHOUT_ATTENTION``) run a bit-identical
-forward phase and only differ once recompute ops appear in the backward
-phase.  Re-running the full discrete-event simulation for every sibling
-re-derives an identical event prefix each time.
+No sweep calls this module: the auto-tuner simulates every candidate in
+full, because resuming recompute siblings made sweeps no faster and
+its checkpoints about tripled a cold sweep's peak allocation.  It stays
+only because ``planbench/launcher.py`` wraps :func:`simulate_recording`,
+:func:`resimulate` and this module's ``compile_programs`` by name;
+deleting it waits on a benchmark change.
 
-This module removes that duplication:
+Recompute siblings (``NONE`` vs ``WITHOUT_ATTENTION``) share structure
+and diverge only late in their instruction streams: they run a
+bit-identical forward phase and only differ once recompute ops appear
+in the backward phase, so a full simulation of each re-derives an
+identical event prefix.  This module replays that prefix instead:
 
 * :func:`simulate_recording` runs one **reference** simulation while
   recording (a) periodic full-state checkpoints of the event core, (b) a

@@ -23,9 +23,9 @@ to the serial sweep -- evaluation is a pure function of the candidate
 key, and rows are assembled in sweep order regardless of completion
 order.
 
-A sweep keeps nothing it built: its schedules and timeline references
-belong to one call's evaluation context, which is freed while the
-collector is still paused.
+Every candidate that is not pruned or cached is built and simulated in
+full.  A sweep keeps nothing it built: each schedule dies with its
+evaluation, while the collector is still paused.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import gc
 import itertools
 import threading
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -50,23 +49,17 @@ from repro.schedules.registry import (
     workload_cache_key,
     workload_option_defaults,
 )
-from repro.sim import resimulate, simulate, simulate_recording
+from repro.sim import simulate
+# No sweep calls these; planbench/launcher.py wraps these names.
+from repro.sim import resimulate, simulate_recording  # noqa: F401
 from repro.sim.engine import DeadlockError
 from repro.tuner.bounds import throughput_upper_bounds
 from repro.tuner.cache import CostCache
-from repro.tuner.ircache import ScheduleIRCache
 from repro.tuner.telemetry import SweepTelemetry
 from repro.tuner.worker import evaluate_chunk
 from repro.workloads import Workload
 
 __all__ = ["Candidate", "PlanResult", "autotune"]
-
-# Smallest schedule (total instruction count) worth recording a timeline
-# reference for.  Below this, a full simulation costs about as much as
-# the recording overhead plus a resume, so incremental re-simulation
-# cannot pay for itself (it stays *correct* either way -- this is purely
-# a cost cutoff).
-_MIN_RECORD_OPS = 2000
 
 
 _gc_pause_lock = threading.Lock()
@@ -260,44 +253,22 @@ class _EvalContext:
     sweep evaluates each exactly once; cost providers are further shared
     per recompute strategy (builders never mutate them).
 
-    The context also owns the sweep's simulate fast path:
-
-    * ``incremental`` turns on prefix re-simulation for candidate
-      *families* (same schedule/m/options, different recompute): the
-      first sibling simulated records a timeline reference, later
-      siblings resume it (:mod:`repro.sim.incremental`), with metrics
-      bit-identical to a full simulation either way.  The references
-      are private to the context and die with it;
-    * ``telemetry`` accumulates per-phase wall time and counters.
-
-    Builds are not memoized: the cost cache evaluates a key at most
-    once, so a memo under that key could never hit.
-
-    ``wkey`` is the workload's :func:`workload_cache_key`, and
-    ``candidates`` the ones this context will evaluate: their sibling
-    family sizes decide which simulations record a reference.
+    ``telemetry``, when given, accumulates per-phase wall time and
+    counters.  Nothing built is memoized: the cost cache evaluates a key
+    at most once, so a memo under that key could never hit, and every
+    candidate is simulated in full.
     """
 
     def __init__(
         self,
         workload: Workload,
         memory_cap_bytes: float,
-        wkey: tuple,
-        candidates: Iterable[Candidate],
         *,
-        incremental: bool = True,
         telemetry: SweepTelemetry | None = None,
     ) -> None:
         self.workload = workload
         self.memory_cap_bytes = float(memory_cap_bytes)
-        self.wkey = wkey
-        self.references = ScheduleIRCache()
-        self.incremental = incremental
         self.telemetry = telemetry
-        # Sibling-family multiplicity decides whether the first simulated
-        # member records a resumable timeline reference: recording costs
-        # a few percent, so singleton families skip it.
-        self.family_counts = Counter(self.family_key(c) for c in candidates)
         self._costs: dict[RecomputeStrategy, Any] = {}
         self._static: float | None = None
         self._defaults: dict[str, dict[str, Any]] = {}
@@ -321,16 +292,6 @@ class _EvalContext:
             )
         return defaults
 
-    def family_key(self, cand: Candidate) -> tuple:
-        """Identity of a candidate's sibling family (recompute excluded)."""
-        return (
-            self.wkey,
-            self.memory_cap_bytes,
-            cand.schedule,
-            cand.num_micro_batches,
-            cand.options,
-        )
-
     def build_schedule(self, spec: ScheduleSpec, cand: Candidate, opts: dict):
         """Build the candidate's IR."""
         tel = self.telemetry
@@ -346,50 +307,11 @@ class _EvalContext:
             tel.built += 1
         return sched
 
-    def simulate_candidate(self, cand: Candidate, sched):
-        """Simulate the candidate, incrementally when a sibling already ran.
-
-        The first simulated member of a multi-candidate family records a
-        :class:`~repro.sim.incremental.SimReference`; later members
-        resume its timeline prefix (falling back to a full simulation
-        whenever the divergence detector cannot prove reuse safe).
-        Singleton families take the plain path -- recording would only
-        add overhead nothing reuses.
-        """
+    def simulate_candidate(self, sched):
+        """Simulate a built schedule without a trace."""
         tel = self.telemetry
         t0 = time.perf_counter()
         try:
-            if self.incremental:
-                fam = self.family_key(cand)
-                ref = self.references.get_reference(fam)
-                if ref is not None:
-                    result, stats = resimulate(
-                        ref,
-                        sched,
-                        self.workload.cluster,
-                        static_memory_bytes=self.static_memory(),
-                        verify=False,
-                    )
-                    if tel is not None:
-                        if stats.mode == "incremental":
-                            tel.incremental_hits += 1
-                        else:
-                            tel.incremental_fallbacks += 1
-                    return result
-                if self.family_counts.get(fam, 0) > 1 and (
-                    sum(len(prog) for prog in sched.programs)
-                    >= _MIN_RECORD_OPS
-                ):
-                    ref = simulate_recording(
-                        sched,
-                        self.workload.cluster,
-                        static_memory_bytes=self.static_memory(),
-                        verify=False,
-                    )
-                    self.references.put_reference(fam, ref)
-                    if tel is not None:
-                        tel.references_recorded += 1
-                    return ref.result
             return simulate(
                 sched,
                 self.workload.cluster,
@@ -416,7 +338,7 @@ def _cold_evaluate(ctx: _EvalContext, cand: Candidate) -> dict[str, Any]:
         # unexecutable schedule still surfaces as a runtime
         # DeadlockError below.
         sched = ctx.build_schedule(spec, cand, opts)
-        result = ctx.simulate_candidate(cand, sched)
+        result = ctx.simulate_candidate(sched)
     except (ScheduleBuildError, DeadlockError, ValueError) as err:
         return {"error": str(err)}
     return {
@@ -480,7 +402,6 @@ def autotune(
     cache: CostCache | None = None,
     workers: int | None = None,
     prune: bool = True,
-    incremental: bool = True,
     telemetry: SweepTelemetry | None = None,
 ) -> list[PlanResult]:
     """Search the schedule space for the fastest feasible plan.
@@ -535,16 +456,6 @@ def autotune(
         :attr:`CacheStats.pruned`, and never enter the cache -- a warm
         re-sweep replays the identical decisions.  ``prune=False`` is
         the exhaustive escape hatch.
-    incremental:
-        Re-simulate candidate *families* (same schedule/m/options,
-        different recompute strategy) incrementally: the first sibling
-        records its event timeline, later siblings resume from the last
-        checkpoint before their first timing divergence
-        (:mod:`repro.sim.incremental`).  Recorded timelines are private
-        to this call and freed with it.  Metrics -- and therefore
-        winners, rankings and cached records -- are bit-identical to
-        full simulation; ``incremental=False`` is the escape hatch that
-        forces every candidate through the from-scratch simulator.
     telemetry:
         :class:`~repro.tuner.telemetry.SweepTelemetry` accumulating
         per-phase wall time (build/bound/simulate/cache) and counters
@@ -641,10 +552,7 @@ def autotune(
             # Strided chunks spread expensive neighbours (large m, MILP
             # schedules) across workers instead of stacking one worker.
             chunks = [missing[i::n_workers] for i in range(n_workers)]
-            run = functools.partial(
-                evaluate_chunk, workload, memory_cap_bytes,
-                incremental=incremental,
-            )
+            run = functools.partial(evaluate_chunk, workload, memory_cap_bytes)
             with ProcessPoolExecutor(max_workers=n_workers) as pool:
                 for records in pool.map(run, chunks):
                     remote.update(records)
@@ -652,14 +560,7 @@ def autotune(
     best_tps = 0.0
     t_eval = time.perf_counter()
     with _gc_paused():
-        ctx = _EvalContext(
-            workload,
-            memory_cap_bytes,
-            wkey,
-            [cand for _, cand, _ in pending],
-            incremental=incremental,
-            telemetry=telemetry,
-        )
+        ctx = _EvalContext(workload, memory_cap_bytes, telemetry=telemetry)
         for i in order:
             idx, cand, key = pending[i]
             if key not in held and ubs is not None and ubs[i] < best_tps:
@@ -688,9 +589,6 @@ def autotune(
             rows[idx] = row
             if row.feasible and row.tokens_per_s > best_tps:
                 best_tps = row.tokens_per_s
-        # Free the schedules and timeline references the context holds
-        # before the collector resumes, so no collection scans them.
-        del ctx
     if telemetry is not None:
         telemetry.eval_s += time.perf_counter() - t_eval
 

@@ -76,7 +76,6 @@ def tune_grid(
     cache: CostCache | None = None,
     workers: int | None = None,
     prune: bool = True,
-    incremental: bool = True,
     telemetry: SweepTelemetry | None = None,
 ) -> list[GridPlan]:
     """Search workloads x schedules for the fastest feasible plan.
@@ -92,8 +91,8 @@ def tune_grid(
     Points share only ``cache`` (candidate keys embed the workload
     identity, so distinct points never alias) and ``telemetry``, which
     aggregates across every point of the grid.  Each point's
-    :func:`autotune` call frees what it built before the next point
-    starts.
+    :func:`autotune` call simulates its candidates in full and frees
+    what it built before the next point starts.
     """
     cache = CostCache() if cache is None else cache
     feasible: list[GridPlan] = []
@@ -112,7 +111,6 @@ def tune_grid(
             cache=cache,
             workers=workers,
             prune=prune,
-            incremental=incremental,
             telemetry=telemetry,
         )
         for plan in plans:

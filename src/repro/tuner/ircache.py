@@ -1,17 +1,13 @@
-"""Per-call store of the auto-tuner's sibling simulation references.
+"""LRU store of built schedule IR and per-family simulation references.
 
-Each :func:`repro.tuner.autotune` call, and each pool worker's chunk,
-owns one :class:`ScheduleIRCache` and uses only its per-*family* half:
-the first simulated member of a candidate family (same key minus the
-recompute strategy) records a :class:`~repro.sim.incremental.SimReference`,
-and its siblings resume that timeline prefix
-(:func:`~repro.sim.incremental.resimulate`).  The cache dies with the
-call, so nothing it holds outlives the sweep.
-
-The built-IR half (:meth:`~ScheduleIRCache.get`/:meth:`~ScheduleIRCache.put`)
-has no caller in the tuner: the cost cache evaluates each candidate key
-at most once, so a build memo under that key could never hit.  The
-benchmark's span launcher still wraps both methods by name.
+No sweep uses this class: the auto-tuner simulates every candidate in
+full, with no sibling timeline references, and builds are not memoized
+(the cost cache evaluates each candidate key at most once, so a build
+memo under that key could never hit).  It stays only because
+``planbench/launcher.py`` wraps :meth:`~ScheduleIRCache.get`,
+:meth:`~ScheduleIRCache.put`, :meth:`~ScheduleIRCache.get_reference`
+and :meth:`~ScheduleIRCache.put_reference` by name; deleting it waits
+on a benchmark change.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 The cold sweep decomposes into four phases -- candidate *build* (IR
 construction), *bound* pricing (closed-form throughput upper bounds for
-pruning), *simulate* (discrete-event evaluation, full or incremental),
-and residual *cache/bookkeeping* overhead.  :class:`SweepTelemetry`
+pruning), *simulate* (discrete-event evaluation of the built IR), and
+residual *cache/bookkeeping* overhead.  :class:`SweepTelemetry`
 accumulates wall time and counters for each, so a sweep can report where
 its time went, per phase rather than only end to end.
 
@@ -26,10 +26,9 @@ __all__ = ["SweepTelemetry"]
 class SweepTelemetry:
     """Wall-clock seconds and counters per sweep phase.
 
-    ``built`` counts every build: a cold candidate is built once, and no
-    build is memoized.  ``references_recorded``, ``incremental_hits``
-    and ``incremental_fallbacks`` count sibling timelines recorded,
-    resumed, and re-run in full.
+    ``built`` counts every build and ``simulated`` every simulation: a
+    cold candidate is built once and simulated once, in full, and
+    nothing is memoized.
     """
 
     build_s: float = 0.0
@@ -39,9 +38,6 @@ class SweepTelemetry:
     candidates: int = 0
     built: int = 0
     simulated: int = 0
-    references_recorded: int = 0
-    incremental_hits: int = 0
-    incremental_fallbacks: int = 0
 
     @property
     def cache_s(self) -> float:
@@ -65,7 +61,4 @@ class SweepTelemetry:
             "candidates": self.candidates,
             "built": self.built,
             "simulated": self.simulated,
-            "references_recorded": self.references_recorded,
-            "incremental_hits": self.incremental_hits,
-            "incremental_fallbacks": self.incremental_fallbacks,
         }

@@ -30,7 +30,6 @@ def evaluate_chunk(
     workload: Any,
     memory_cap_bytes: float,
     candidates: Sequence[Any],
-    incremental: bool = True,
 ) -> dict[Hashable, Any]:
     """Cold-evaluate ``candidates``; returns their records by cache key.
 
@@ -38,12 +37,11 @@ def evaluate_chunk(
     replays the returned records through its own cache, so hit/miss
     accounting happens there.
 
-    Built IR and simulation references do not pickle across the pool
-    economically, so the chunk gets its own evaluation context: sibling
-    candidates re-simulate incrementally within it, with results
-    bit-identical to the serial sweep's either way.  The context is
-    freed before the collector resumes, so no built object outlives the
-    chunk.
+    Built IR does not pickle across the pool economically, so the chunk
+    builds and simulates each candidate in full within its own
+    evaluation context, with results bit-identical to the serial
+    sweep's.  Each schedule dies with its evaluation, before the
+    collector resumes, so no built object outlives the chunk.
     """
     # Imported here, not at module top: autotune imports this module, so
     # a top-level back-import would be circular.
@@ -56,12 +54,9 @@ def evaluate_chunk(
 
     wkey = workload_cache_key(workload)
     with _gc_paused():
-        ctx = _EvalContext(
-            workload, memory_cap_bytes, wkey, candidates, incremental=incremental
-        )
+        ctx = _EvalContext(workload, memory_cap_bytes)
         records = {
             _candidate_key(wkey, cand, memory_cap_bytes): _cold_evaluate(ctx, cand)
             for cand in candidates
         }
-        del ctx  # its schedules and references die before collection resumes
     return records

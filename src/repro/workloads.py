@@ -15,11 +15,12 @@ Two layers live here:
 - :class:`WorkloadGrid` -- the paper's Section 3.1 planning axis: a set
   of ``seq_len x pipeline_size`` points under a fixed token budget per
   iteration (production training fixes tokens/iteration, so longer
-  sequences mean fewer micro batches).  Points whose budget cannot fit
-  even one micro batch, or exceeds :data:`MAX_MICRO_BATCHES`, are
-  enumerated as *infeasible points with a reason*, never silently
-  dropped -- the same reporting discipline the tuner applies to
-  divisor-precluded candidates.
+  sequences mean fewer micro batches).  Points whose micro batch exceeds
+  :data:`MAX_MICRO_BATCH_TOKENS`, or whose budget cannot fit even one
+  micro batch or exceeds :data:`MAX_MICRO_BATCHES`, are enumerated as
+  *infeasible points with a reason*, never silently dropped -- the same
+  reporting discipline the tuner applies to divisor-precluded
+  candidates.
 
 Shape strings accept binary suffixes: ``64k`` == 65536 sequence tokens,
 ``--budget-tokens 1M`` == ``1 << 20`` tokens per iteration (matching the
@@ -45,6 +46,7 @@ from repro.schedules.registry import (
 __all__ = [
     "GPU_CLUSTERS",
     "MAX_MICRO_BATCHES",
+    "MAX_MICRO_BATCH_TOKENS",
     "SEQ_LENS",
     "Workload",
     "WorkloadPoint",
@@ -68,6 +70,12 @@ GPU_CLUSTERS = {"H20": h20_cluster, "A800": a800_cluster}
 #: those candidates simulates a longer pipeline, so a cold sweep grows
 #: about quadratically with the budget.
 MAX_MICRO_BATCHES = 256
+
+#: Largest micro batch a workload may carry, in tokens (``seq_len x
+#: micro_batch``): 128 times the paper's longest sequence.  The cost
+#: model prices a micro batch in floats, so an unbounded one overflows
+#: to ``inf`` or raises :class:`OverflowError`.
+MAX_MICRO_BATCH_TOKENS = 1 << 24
 
 _SUFFIX = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30, "b": 1 << 30}
 
@@ -129,6 +137,16 @@ def _budget_above_cap(num_micro_batches: int) -> str | None:
     )
 
 
+def _micro_batch_above_cap(seq_len: int, micro_batch: int) -> str | None:
+    """Why a micro batch is refused, or None when it is allowed."""
+    if seq_len * micro_batch <= MAX_MICRO_BATCH_TOKENS:
+        return None
+    return (
+        f"micro batch of sequence length {seq_len} x micro-batch size "
+        f"{micro_batch} is above the maximum of {MAX_MICRO_BATCH_TOKENS} tokens"
+    )
+
+
 def format_seq_len(seq_len: int) -> str:
     """``65536`` -> ``"64k"`` (falls back to the plain number)."""
     if seq_len % 1024 == 0:
@@ -144,7 +162,8 @@ class Workload:
     per node, Megatron sequence parallelism across the node's GPUs,
     micro-batch size 1 and a global batch of ``2 x pipeline size`` micro
     batches unless overridden.  A budget above :data:`MAX_MICRO_BATCHES`,
-    the default included, raises :class:`ValueError`.
+    the default included, or a micro batch above
+    :data:`MAX_MICRO_BATCH_TOKENS` raises :class:`ValueError`.
     """
 
     model: ModelConfig
@@ -156,7 +175,9 @@ class Workload:
     def __post_init__(self) -> None:
         if self.num_micro_batches is None:
             self.num_micro_batches = 2 * self.cluster.num_stages
-        reason = _budget_above_cap(self.num_micro_batches)
+        reason = _micro_batch_above_cap(
+            self.seq_len, self.micro_batch
+        ) or _budget_above_cap(self.num_micro_batches)
         if reason is not None:
             raise ValueError(reason)
 
@@ -279,8 +300,9 @@ class WorkloadGrid:
     ``budget_tokens=None`` every point uses the protocol default of
     ``2 x p`` micro batches instead.
 
-    Enumeration is total: a point whose budget cannot fit a single
-    micro batch, or comes to more than :data:`MAX_MICRO_BATCHES`, is
+    Enumeration is total: a point whose micro batch is above
+    :data:`MAX_MICRO_BATCH_TOKENS`, or whose budget cannot fit a single
+    micro batch or comes to more than :data:`MAX_MICRO_BATCHES`, is
     yielded with an infeasibility reason rather than omitted, so
     downstream sweeps (and their reports) account for every requested
     cell.
@@ -349,6 +371,7 @@ class WorkloadGrid:
                     )
                 else:
                     reason = _budget_above_cap(m)
+                reason = _micro_batch_above_cap(seq_len, self.micro_batch) or reason
                 yield WorkloadPoint(
                     model=self.model,
                     gpu=self.gpu,

@@ -236,9 +236,26 @@ class TestTune:
         assert "workload:" not in out and "best plan" not in out
 
     @pytest.mark.parametrize("argv", [
+        ("tune", "-p", "4", "--seq-len", str(10**400)),
+        ("tune", "--smoke", "--seq-len", "16385k"),
+        ("tune", "--smoke", "--seq-len", "8k", "--micro-batch", str(10**160)),
+        ("build", "1f1b", "-p", "4", "--seq-len", str(10**400)),
+        ("simulate", "1f1b", "-p", "4", "--seq-len", "16385k"),
+    ])
+    def test_micro_batch_above_the_token_cap_is_refused(self, capsys, argv):
+        """A sequence past the cost model's float range used to end in
+        an OverflowError traceback."""
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert "error: micro batch of sequence length" in err
+        assert "is above the maximum of 16777216 tokens" in err
+        assert "workload:" not in out and "best plan" not in out
+
+    @pytest.mark.parametrize("argv", [
         ("--smoke", "-m", "257"),
         ("--smoke", "-m", "4", "--seq-lens", "16k,32k"),
         ("--smoke", "--schedules", "pipedream"),
+        ("-p", "4", "--seq-len", str(10**400)),
     ])
     def test_refused_sweep_creates_no_store(self, capsys, tmp_path, argv):
         """The request is checked before --cache opens, and so creates,

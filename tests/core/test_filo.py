@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.bubble import bubble_time_helix
 from repro.cluster import abstract_cluster
 from repro.costmodel import RecomputeStrategy, unit_layer_times
-from repro.core.filo import HelixFiloBuilder, build_helix_filo
+from repro.core.filo import build_helix_filo
 from repro.model import SegmentKind
 from repro.schedules.costs import UnitCosts
 from repro.schedules.ir import ComputeInstr, OpType
@@ -195,21 +195,3 @@ class TestMemory:
         r8 = simulate(_build(p, 8, L, fold=2), abstract_cluster(p))
         r16 = simulate(_build(p, 16, L, fold=2), abstract_cluster(p))
         assert max(r16.peak_memory_bytes) > max(r8.peak_memory_bytes)
-
-
-class TestPlanner:
-    def test_unknown_priority(self):
-        with pytest.raises(ValueError):
-            HelixFiloBuilder(
-                4, 8, _unit(8), fold=2, priority="bogus",
-                include_embed=False, include_head=False,
-            ).build()
-
-    @pytest.mark.parametrize("priority", ["filo", "hlf", "hybrid"])
-    def test_all_priorities_produce_valid_schedules(self, priority):
-        sched = HelixFiloBuilder(
-            4, 8, _unit(8), fold=2, priority=priority,
-            include_embed=False, include_head=False,
-        ).build()
-        r = simulate(sched, abstract_cluster(4))
-        assert r.makespan > 0

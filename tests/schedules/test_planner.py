@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.schedules.planner import PlannedTask, critical_path_levels, list_schedule
+from repro.schedules.planner import PlannedTask, list_schedule
 
 
 def _chain(n, stage=0):
@@ -58,27 +58,3 @@ class TestListSchedule:
             count = len(order[s])
             if count:
                 assert order[s][-1].start == pytest.approx(count - 1.0)
-
-
-class TestCriticalPath:
-    def test_chain_levels(self):
-        levels = critical_path_levels(_chain(3))
-        assert levels == {0: 3.0, 1: 2.0, 2: 1.0}
-
-    def test_diamond(self):
-        tasks = [
-            PlannedTask(tid=0, stage=0, key=(0,), duration=1.0, deps=[]),
-            PlannedTask(tid=1, stage=0, key=(1,), duration=5.0, deps=[0]),
-            PlannedTask(tid=2, stage=0, key=(2,), duration=1.0, deps=[0]),
-            PlannedTask(tid=3, stage=0, key=(3,), duration=1.0, deps=[1, 2]),
-        ]
-        levels = critical_path_levels(tasks)
-        assert levels[0] == pytest.approx(7.0)  # 1 + 5 + 1
-
-    def test_cycle_detected(self):
-        tasks = [
-            PlannedTask(tid=0, stage=0, key=(0,), duration=1.0, deps=[1]),
-            PlannedTask(tid=1, stage=0, key=(1,), duration=1.0, deps=[0]),
-        ]
-        with pytest.raises(RuntimeError, match="cycle"):
-            critical_path_levels(tasks)

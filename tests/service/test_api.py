@@ -224,6 +224,14 @@ class TestPlanEndpoint:
         _, stats = _get(server, "/v1/stats")
         assert stats["telemetry"]["plans"] == 0
 
+    def test_sequence_above_the_token_cap_is_400(self, server):
+        body = dict(_BODY, seq_len=10**400)
+        code, answer = _error(server, "POST", "/v1/plan", body)
+        assert code == 400
+        assert "above the maximum of 16777216 tokens" in answer["error"]
+        _, stats = _get(server, "/v1/stats")
+        assert stats["telemetry"]["plans"] == 0
+
     def test_unknown_schedule_is_400_and_plans_nothing(self, server):
         body = dict(_BODY, schedules=["no-such-schedule"])
         code, answer = _error(server, "POST", "/v1/plan", body)

@@ -1,12 +1,13 @@
 """PlannerService: parsing, dedup, warm/cold accounting, sweeps."""
 
+import json
 import threading
 
 import pytest
 
 from repro.service import PlannerService, parse_plan_request, plan_payload
 from repro.tuner import CostCache, autotune
-from repro.workloads import MAX_MICRO_BATCHES, Workload
+from repro.workloads import MAX_MICRO_BATCH_TOKENS, MAX_MICRO_BATCHES, Workload
 from tests.tuner.test_ircache import alive, collector_off, record_builds
 
 # One tiny deterministic workload shared by every evaluation test: a
@@ -84,6 +85,26 @@ class TestParsePlanRequest:
         )
         with pytest.raises(ValueError, match="above the maximum of 256"):
             over.workload()
+
+    @pytest.mark.parametrize("body", [
+        {"p": 4, "seq_len": 10**400},
+        {"p": 4, "seq_len": 10**160},
+        {"p": 4, "seq_len": "8k", "micro_batch": 10**160},
+    ])
+    def test_micro_batch_above_the_token_cap_is_refused(self, body):
+        # Past the cap the plan used to raise OverflowError (a 500) or
+        # answer rows of inf and nan, which are not JSON.
+        service = PlannerService()
+        with pytest.raises(ValueError, match="above the maximum of 16777216 tokens"):
+            service.plan(body)
+        assert service.telemetry.as_dict()["plans"] == 0
+
+    def test_a_plan_at_the_token_cap_is_strict_json(self):
+        answer = PlannerService().plan(
+            {"model": "1.3B", "p": 2, "seq_len": MAX_MICRO_BATCH_TOKENS}
+        )
+        assert answer["plan_count"] > 0
+        json.dumps(answer, allow_nan=False)
 
     def test_top_does_not_split_the_dedup_key(self):
         a = parse_plan_request(dict(_BODY, top=1))
@@ -186,17 +207,17 @@ class TestPlan:
 
 class TestNothingRetained:
     def test_a_cold_plan_keeps_nothing_it_built(self, monkeypatch):
-        # Reference counting alone must free every schedule and timeline
-        # the plan's sweep built: the service holds no IR between plans.
-        schedules, references = record_builds(monkeypatch)
+        # Reference counting alone must free every schedule the plan's
+        # sweep built: the service holds no IR between plans.
+        schedules = record_builds(monkeypatch)
         service = PlannerService()
         body = {"model": "1.3B", "gpu": "H20", "p": 4, "seq_len": "8k",
                 "schedules": ["helix"], "prune": False}
         with collector_off():
             answer = service.plan(body)
-            left = alive(schedules) + alive(references)
+            left = alive(schedules)
         assert answer["outcome"] == "cold"
-        assert schedules and references
+        assert schedules
         assert left == []
 
 

@@ -64,11 +64,7 @@ class TestBasicExecution:
     def test_missing_message_deadlocks(self):
         s = Schedule("t", 2, 1, [[], [RecvInstr(1, 0, "x", 1.0), _f(1)]])
         # Bypass validation (unpaired tag) to exercise the deadlock path.
-        sim = PipelineSimulator.__new__(PipelineSimulator)
-        sim.schedule = s
-        sim.cluster = abstract_cluster(2)
-        sim.duplex = "full"
-        sim.static = [0.0, 0.0]
+        sim = PipelineSimulator(s, abstract_cluster(2), verify=False)
         with pytest.raises(DeadlockError):
             sim.run()
 

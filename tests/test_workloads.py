@@ -4,6 +4,7 @@ import pytest
 
 from repro.workloads import (
     GPU_CLUSTERS,
+    MAX_MICRO_BATCH_TOKENS,
     MAX_MICRO_BATCHES,
     Workload,
     WorkloadGrid,
@@ -82,6 +83,23 @@ class TestWorkload:
         with pytest.raises(ValueError, match="budget 258 is above the maximum"):
             Workload.paper("7B", "H20", 129, 8192)
 
+    @pytest.mark.parametrize("seq_len,micro_batch", [
+        (MAX_MICRO_BATCH_TOKENS + 1, 1),
+        (10**400, 1),
+        (8192, 10**160),
+        (MAX_MICRO_BATCH_TOKENS // 2, 3),
+    ])
+    def test_micro_batch_tokens_are_capped(self, seq_len, micro_batch):
+        # Past the cap the cost model's floats overflow; the workload
+        # refuses the shape instead.
+        with pytest.raises(ValueError, match="above the maximum of 16777216 tokens"):
+            Workload.paper("7B", "H20", 4, seq_len, micro_batch=micro_batch)
+
+    def test_micro_batch_at_the_token_cap_is_allowed(self):
+        assert MAX_MICRO_BATCH_TOKENS == 1 << 24
+        wl = Workload.paper("7B", "H20", 4, MAX_MICRO_BATCH_TOKENS // 2, micro_batch=2)
+        assert wl.seq_len * wl.micro_batch == MAX_MICRO_BATCH_TOKENS
+
 
 class TestWorkloadGrid:
     def test_default_budget_is_2p(self):
@@ -136,6 +154,21 @@ class TestWorkloadGrid:
         # Without a token budget, the 2 x p default is capped too.
         (big,) = WorkloadGrid(seq_lens=(4096,), pipeline_sizes=(129,)).points()
         assert not big.feasible and "budget 258" in big.reason
+
+    @pytest.mark.parametrize("budget_tokens", [None, 1 << 20])
+    def test_micro_batch_above_the_token_cap_is_infeasible_row(self, budget_tokens):
+        grid = WorkloadGrid(
+            seq_lens=(MAX_MICRO_BATCH_TOKENS, MAX_MICRO_BATCH_TOKENS + 1, 10**160),
+            pipeline_sizes=(2,),
+            budget_tokens=budget_tokens,
+        )
+        at_cap, *over = grid.points()
+        assert (at_cap.reason is None) == (budget_tokens is None)
+        for point in over:
+            assert not point.feasible and point.num_micro_batches == 0
+            assert "above the maximum of 16777216 tokens" in point.reason
+            with pytest.raises(ValueError, match="infeasible workload point"):
+                point.workload()
 
     def test_micro_batch_scales_budget(self):
         grid = WorkloadGrid(

@@ -1,11 +1,12 @@
-"""`ScheduleIRCache` and what a sweep keeps: keys, references, lifetimes.
+"""`ScheduleIRCache` and what a sweep keeps: keys, simulations, lifetimes.
 
-A sweep's schedules and sibling timeline references belong to one call:
-the suite checks that candidate keys separate every axis of the
-candidate space (schedule, recompute, micro-batch count, each option
-grid point), that incremental re-simulation and parallel workers agree
-with the plain serial path, that the LRU bounds hold, and that nothing
-a sweep built is alive once it returns -- freed by reference counting,
+A sweep's schedules belong to one call: the suite checks that candidate
+keys separate every axis of the candidate space (schedule, recompute,
+micro-batch count, each option grid point), that every candidate is
+simulated in full (no sweep records or resumes a sibling timeline),
+that parallel workers and a shared cost cache agree with evaluating
+each candidate alone, that the LRU bounds hold, and that nothing a
+sweep built is alive once it returns -- freed by reference counting,
 before the collector resumes.
 """
 
@@ -18,7 +19,7 @@ import pytest
 
 from repro.costmodel.memory import RecomputeStrategy
 from repro.schedules.ir import Schedule
-from repro.schedules.registry import ScheduleSpec, workload_cache_key
+from repro.schedules.registry import ScheduleSpec
 from repro.tuner import CostCache, SweepTelemetry, autotune, tune_grid
 from repro.tuner.autotune import (
     _candidate_key,
@@ -45,29 +46,21 @@ def _rows(**kw):
 
 
 def record_builds(monkeypatch):
-    """Weak references to every schedule built and timeline recorded.
+    """Weak references to every schedule built from now on.
 
-    Returns ``(schedules, references)``: one weakref per
-    :class:`Schedule` that ``ScheduleSpec.build`` returns and per
-    ``SimReference`` the tuner records, from now on.
+    Returns one weakref per :class:`Schedule` that ``ScheduleSpec.build``
+    returns.
     """
-    autotune_mod = sys.modules["repro.tuner.autotune"]
-    schedules, references = [], []
-    build, record = ScheduleSpec.build, autotune_mod.simulate_recording
+    schedules = []
+    build = ScheduleSpec.build
 
     def tracked_build(self, *args, **kwargs):
         sched = build(self, *args, **kwargs)
         schedules.append(weakref.ref(sched))
         return sched
 
-    def tracked_record(*args, **kwargs):
-        ref = record(*args, **kwargs)
-        references.append(weakref.ref(ref))
-        return ref
-
     monkeypatch.setattr(ScheduleSpec, "build", tracked_build)
-    monkeypatch.setattr(autotune_mod, "simulate_recording", tracked_record)
-    return schedules, references
+    return schedules
 
 
 @contextmanager
@@ -152,30 +145,56 @@ class TestCacheMechanics:
             ScheduleIRCache(max_references=0)
 
 
-class TestSweepEquivalence:
-    def test_incremental_off_is_bit_identical(self):
-        assert _rows() == _rows(incremental=False)
+class TestFullSimulation:
+    """Every sweep simulates each candidate in full."""
 
+    @pytest.fixture
+    def no_resume(self, monkeypatch):
+        # The launcher-pinned names stay importable, but no sweep may
+        # record or resume a timeline through them.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep recorded or resumed a timeline")
+
+        for module in ("repro.tuner.autotune", "repro.sim.incremental"):
+            for name in ("simulate_recording", "resimulate"):
+                monkeypatch.setattr(sys.modules[module], name, refuse)
+
+    def test_autotune(self, no_resume):
+        rows = _rows(schedules=["helix"], prune=False)
+        assert all(r.iteration_time is not None for r in rows)
+
+    def test_tune_grid(self, no_resume):
+        rows = tune_grid(
+            WorkloadGrid(model="1.3B", seq_lens=(8192,),
+                         pipeline_sizes=(2, 4), budget_tokens=1 << 16),
+            schedules=["helix"],
+            cache=CostCache(),
+        )
+        assert any(r.feasible for r in rows)
+
+    def test_evaluate_chunk(self, no_resume):
+        cap = float(WL.cluster.node.gpu.hbm_bytes)
+        records = evaluate_chunk(WL, cap, grid_points(WL, schedules=["helix"]))
+        assert records and all(r["error"] is None for r in records.values())
+
+
+class TestSweepEquivalence:
     def test_parallel_equals_serial(self):
         serial = _rows()
         parallel = _rows(workers=2)
         assert parallel == serial
 
     def test_shared_cache_across_recomputes_no_false_hits(self):
-        # A reference recorded by one recompute strategy must never
-        # leak into another strategy's result: every row of a helix
-        # sweep over both its strategies must match evaluating that
-        # candidate alone, with no incremental resume.
+        # One recompute strategy's evaluation must never leak into
+        # another's result: every row of a helix sweep over both its
+        # strategies must match evaluating that candidate alone.
         together = _rows(schedules=["helix"], prune=False)
         assert {r.candidate.recompute for r in together} == {
             RecomputeStrategy.NONE,
             RecomputeStrategy.WITHOUT_ATTENTION,
         }
         cap = float(WL.cluster.node.gpu.hbm_bytes)
-        cands = [r.candidate for r in together]
-        uncached = _EvalContext(
-            WL, cap, workload_cache_key(WL), cands, incremental=False
-        )
+        uncached = _EvalContext(WL, cap)
         for row in together:
             record = _cold_evaluate(uncached, row.candidate)
             assert _to_plan_result(WL, row.candidate, record, cap) == row, row.label
@@ -187,8 +206,7 @@ class TestTelemetry:
         rows = _rows(telemetry=tel)
         assert tel.candidates == len(rows)
         assert tel.built > 0
-        assert tel.simulated > 0
-        assert tel.incremental_fallbacks == 0
+        assert tel.simulated == tel.built
         assert tel.eval_s >= tel.build_s + tel.simulate_s - 1e-9
         snap = tel.as_dict()
         assert snap["built"] == tel.built
@@ -200,16 +218,16 @@ class TestTelemetry:
 
 class TestGridSharing:
     def test_tune_grid_points_never_alias(self):
-        # Distinct p over one cost cache: every row must match a sweep
-        # that re-simulates each candidate from scratch (an aliased
-        # schedule or reference would leak a wrong-p result across
-        # points).
+        # Distinct p over one cost cache: each point's rows must match
+        # that point swept alone on a fresh cache (an aliased record
+        # would leak a wrong-p result across points).
         grid = WorkloadGrid(
             seq_lens=(8192,), pipeline_sizes=(2, 4), budget_tokens=1 << 16
         )
         rows = tune_grid(grid, cache=CostCache())
-        baseline = tune_grid(grid, cache=CostCache(), incremental=False)
-        assert [r.label for r in rows] == [r.label for r in baseline]
+        for point in grid.iter_points():
+            alone = autotune(point.workload(), fill_budget=True, cache=CostCache())
+            assert [r.plan for r in rows if r.point == point] == alone
 
 
 class TestNothingRetained:
@@ -217,7 +235,7 @@ class TestNothingRetained:
 
     @pytest.mark.parametrize("sweep", ["autotune", "tune_grid", "chunk"])
     def test_built_objects_die_with_the_call(self, monkeypatch, sweep):
-        schedules, references = record_builds(monkeypatch)
+        schedules = record_builds(monkeypatch)
         cap = float(WL.cluster.node.gpu.hbm_bytes)
         with collector_off():
             if sweep == "autotune":
@@ -230,22 +248,20 @@ class TestNothingRetained:
                 )
             else:
                 evaluate_chunk(WL, cap, grid_points(WL, schedules=["helix"]))
-            left = alive(schedules) + alive(references)
-        assert schedules and references
+            left = alive(schedules)
+        assert schedules
         assert left == []
 
     def test_ir_is_freed_before_the_collector_resumes(self, monkeypatch):
         # With a threshold of one, the first allocation after the pause
         # ends runs a collection; none runs during the pause.  At that
         # first collection after a build, nothing built may be alive.
-        schedules, references = record_builds(monkeypatch)
+        schedules = record_builds(monkeypatch)
         at_first_collection = []
 
         def hook(phase, info):
             if phase == "start" and schedules and not at_first_collection:
-                at_first_collection.append(
-                    len(alive(schedules) + alive(references))
-                )
+                at_first_collection.append(len(alive(schedules)))
 
         assert gc.isenabled()
         threshold = gc.get_threshold()
@@ -256,5 +272,5 @@ class TestNothingRetained:
         finally:
             gc.set_threshold(*threshold)
             gc.callbacks.remove(hook)
-        assert references
+        assert schedules
         assert at_first_collection == [0]
