@@ -7,9 +7,8 @@ fold) for the paper's 7B / H20 / p=8 / 64k workload, ranks the feasible
 plans by simulated throughput under the HBM cap, and shows the cost
 cache at work three ways:
 
-1. a parallel cold sweep (``workers=4``: candidates evaluate in a
-   process pool, their records collected on join and written through
-   to a sqlite store);
+1. a cold sweep (one serial walk that prunes every candidate that
+   cannot win; each evaluation is written through to a sqlite store);
 2. an in-memory warm sweep that re-simulates nothing;
 3. a persisted cache: the sweep over a fresh cache reopened on the
    store performs zero cold evaluations (all disk hits).
@@ -17,7 +16,7 @@ cache at work three ways:
 The same sweep is available without a script:
 
     python -m repro tune --model 7B --gpu H20 -p 8 --seq-len 64k \\
-        --workers 4 --cache sweep.sqlite
+        --cache sweep.sqlite
 
 Run:  python examples/autotune_demo.py
 """
@@ -45,11 +44,11 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmpdir:
         path = os.path.join(tmpdir, "sweep.sqlite")
 
-        # Cold sweep, evaluated in a pool of 4 worker processes; every
-        # evaluation is written through to the store at ``path``.
+        # Cold sweep; every evaluation is written through to the store
+        # at ``path``.
         cache = CostCache.open(path)
         t0 = time.perf_counter()
-        plans = autotune(wl, cache=cache, workers=4)
+        plans = autotune(wl, cache=cache)
         cold = time.perf_counter() - t0
 
         print(format_plan_table(plans))
@@ -65,7 +64,7 @@ def main() -> None:
         warm = time.perf_counter() - t0
         assert again == plans, "cached sweep must reproduce the cold results"
         print(
-            f"\nCold sweep (4 workers) {cold:.2f} s, cached sweep {warm * 1e3:.1f} ms "
+            f"\nCold sweep {cold:.2f} s, cached sweep {warm * 1e3:.1f} ms "
             f"({cache.stats}, hit rate {cache.stats.hit_rate:.0%})"
         )
         cache.close()

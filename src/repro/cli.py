@@ -55,14 +55,14 @@ Commands
 
 ``tune``
     Run :func:`repro.tuner.autotune` over the full candidate grid and
-    print the ranked plan table.  ``--workers N`` evaluates cold
-    candidates in a process pool; ``--cache PATH`` attaches a sqlite
-    cost cache store (created when missing) that every evaluation is
-    written through, so repeated sweeps (and sweeps from other
-    processes) reuse every evaluation::
+    print the ranked plan table.  The sweep is one serial walk that
+    prunes every candidate that cannot win.  ``--cache PATH`` attaches
+    a sqlite cost cache store (created when missing) that every
+    evaluation is written through, so repeated sweeps (and sweeps from
+    other processes) reuse every evaluation::
 
         python -m repro tune --model 7B --gpu H20 -p 8 --seq-len 64k \\
-            --workers 4 --cache sweep.sqlite
+            --cache sweep.sqlite
 
     Passing several sequence lengths or pipeline sizes -- or a token
     budget -- turns the sweep into workload-grid planning
@@ -679,7 +679,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             cap,
             schedules=schedules,
             cache=cache,
-            workers=args.workers,
             **kwargs,
         )
         elapsed = time.perf_counter() - t0
@@ -705,7 +704,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             cap,
             schedules=schedules,
             cache=cache,
-            workers=args.workers,
             **kwargs,
         )
         elapsed = time.perf_counter() - t0
@@ -733,7 +731,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service import PlannerService, create_server
 
-    service = PlannerService(_load_cache(args.cache), workers=args.workers)
+    service = PlannerService(_load_cache(args.cache))
     server = create_server(args.host, args.port, service)
     host, port = server.server_address[:2]
     print(f"planner service listening on http://{host}:{port}")
@@ -1084,13 +1082,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated schedule names (default: every tunable one)",
     )
     p_tune.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="evaluate cold candidates in a process pool of N workers",
-    )
-    p_tune.add_argument(
         "--cache",
         default=None,
         metavar="PATH",
@@ -1156,13 +1147,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="shared sqlite cost cache store, created when missing",
-    )
-    p_serve.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="evaluate cold candidates in a process pool of N workers",
     )
     p_serve.set_defaults(fn=_cmd_serve)
 

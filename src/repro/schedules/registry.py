@@ -393,10 +393,11 @@ def stable_value_key(obj: Any) -> Any:
 def workload_cache_key(workload: Workload) -> tuple:
     """Canonical cache identity of a workload's shape and hardware.
 
-    The single source of truth for how the tuner, its process-pool
-    workers and the persistent cost cache identify a workload: equal
-    keys mean the same model x cluster x sequence length x micro-batch
-    size, regardless of which process computed them.
+    The single source of truth for how the tuner and the persistent
+    cost cache identify a workload: equal keys mean the same model x
+    cluster x sequence length x micro-batch size, regardless of which
+    process computed them, because every process that shares a sqlite
+    store must compute the same keys.
     """
     return (
         stable_value_key(workload.model),

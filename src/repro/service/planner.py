@@ -23,10 +23,10 @@ Three properties make it a service rather than a loop around
 - **Serialized evaluation.**  One sweep runs at a time
   (``_eval_lock``): the sweep telemetry is a single-writer structure,
   and a plan sweep is CPU-bound anyway -- concurrency buys throughput
-  through the shared cache, not through parallel sweeps.
-  ``workers=N`` still parallelises *within* a sweep.  A sweep keeps
-  nothing it built, so the service's long-lived heap is the cost cache
-  and its bookkeeping.
+  through the shared cache, not through parallel sweeps.  Each sweep is
+  one serial, pruned walk on the thread that holds the lock.  A sweep
+  keeps nothing it built, so the service's long-lived heap is the cost
+  cache and its bookkeeping.
 - **Background sweeps.**  :meth:`start_sweep` pre-fills a workload
   neighbourhood (a :class:`~repro.workloads.WorkloadGrid`) on a daemon
   thread through :func:`~repro.tuner.grid.tune_grid` into the same
@@ -303,19 +303,10 @@ class PlannerService:
         through to the store as it happens, so neither background
         sweeps nor :meth:`close` have anything to flush.  Defaults to a
         fresh in-memory cache.
-    workers:
-        Process-pool size for cold candidate evaluation *within* one
-        sweep (``autotune(..., workers=N)``); None evaluates serially.
     """
 
-    def __init__(
-        self,
-        cache: CostCache | None = None,
-        *,
-        workers: int | None = None,
-    ) -> None:
+    def __init__(self, cache: CostCache | None = None) -> None:
         self.cache = cache if cache is not None else CostCache()
-        self.workers = workers
         self.telemetry = ServiceTelemetry()
         self.sweep_telemetry = SweepTelemetry()
         self.started_at = time.time()
@@ -340,7 +331,6 @@ class PlannerService:
                 schedules=list(query.schedules) if query.schedules else None,
                 options=query.options,
                 cache=self.cache,
-                workers=self.workers,
                 prune=query.prune,
                 telemetry=self.sweep_telemetry,
             )
@@ -508,7 +498,6 @@ class PlannerService:
                     schedules=list(schedules) if schedules else None,
                     options=options,
                     cache=self.cache,
-                    workers=self.workers,
                     telemetry=self.sweep_telemetry,
                 )
             record["candidates"] = len(plans)

@@ -3,18 +3,18 @@
 Searches the registered schedule space (schedule x recomputation
 strategy x micro-batch count x schedule-option grid) for the fastest
 plan that fits a memory cap, using the discrete-event simulator as the
-evaluator behind a memoizing cost cache.  Sweeps scale out
-(``autotune(..., workers=N)`` evaluates cold candidates in a process
-pool) and persist (:meth:`CostCache.open` builds a cache over a sqlite
-store, stamped with a cost-model fingerprint so editing the cost model
-invalidates stale stores; a sweep reads it once, in one batched query,
-and writes every cold evaluation through, so nothing is flushed
-afterwards), and the whole subsystem is scriptable from the shell via
-``python -m repro tune``.
+evaluator behind a memoizing cost cache.  A sweep is one serial walk
+that prunes every candidate whose throughput upper bound cannot beat
+the best plan so far.  Sweeps persist (:meth:`CostCache.open` builds a
+cache over a sqlite store, stamped with a cost-model fingerprint so
+editing the cost model invalidates stale stores; a sweep reads it once,
+in one batched query, and writes every cold evaluation through, so
+nothing is flushed afterwards), and the whole subsystem is scriptable
+from the shell via ``python -m repro tune``.
 
 >>> from repro.workloads import Workload
 >>> from repro.tuner import autotune
->>> plans = autotune(Workload.paper("7B", "H20", 8, 65536), workers=4)
+>>> plans = autotune(Workload.paper("7B", "H20", 8, 65536))
 >>> plans[0].candidate.schedule, plans[0].iteration_time
 
 :func:`tune_grid` adds the workload axis itself to the search: a

@@ -14,28 +14,19 @@ discrete-event simulator behind a memoizing
 :class:`PlanResult` rows -- feasible plans ordered by simulated
 throughput, infeasible candidates kept with their reasons.
 
-Large grids parallelise: ``autotune(..., workers=N)`` evaluates cold
-candidates in a ``concurrent.futures`` process pool
-(:mod:`repro.tuner.worker`).  Each worker returns a dict of records by
-cache key, which the serial walk feeds through
-:meth:`CostCache.get_or_eval`.  Results are deterministic and identical
-to the serial sweep -- evaluation is a pure function of the candidate
-key, and rows are assembled in sweep order regardless of completion
-order.
-
-Every candidate that is not pruned or cached is built and simulated in
-full.  A sweep keeps nothing it built: each schedule dies with its
+A sweep is one serial walk on the calling thread, best bound first,
+so that pruning skips every candidate that provably cannot win.  Every
+candidate that is not pruned or cached is built and simulated in full.
+A sweep keeps nothing it built: each schedule dies with its
 evaluation, while the collector is still paused.
 """
 
 from __future__ import annotations
 
-import functools
 import gc
 import itertools
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
@@ -56,7 +47,6 @@ from repro.sim.engine import DeadlockError
 from repro.tuner.bounds import throughput_upper_bounds
 from repro.tuner.cache import CostCache
 from repro.tuner.telemetry import SweepTelemetry
-from repro.tuner.worker import evaluate_chunk
 from repro.workloads import Workload
 
 __all__ = ["Candidate", "PlanResult", "autotune"]
@@ -231,8 +221,8 @@ def _iter_grid(
 def _candidate_key(wkey: tuple, cand: Candidate, memory_cap_bytes: float) -> tuple:
     # ``wkey`` is workload_cache_key(workload): a canonical,
     # process-stable identity, so two workloads sharing a model/cluster
-    # *name* never alias in a shared or persisted cache, and a key
-    # computed in a pool worker equals the parent's.
+    # *name* never alias in a shared or persisted cache, and every
+    # process sharing a sqlite store computes the same key.
     return (
         wkey,
         float(memory_cap_bytes),
@@ -400,7 +390,6 @@ def autotune(
     options: bool = True,
     fill_budget: bool = False,
     cache: CostCache | None = None,
-    workers: int | None = None,
     prune: bool = True,
     telemetry: SweepTelemetry | None = None,
 ) -> list[PlanResult]:
@@ -436,13 +425,6 @@ def autotune(
         never re-simulated; pass the same cache to later sweeps, or one
         attached to a persisted store with :meth:`CostCache.open`, to
         reuse evaluations across sweeps and runs.
-    workers:
-        Evaluate cold candidates in a process pool of this size
-        (``None``/``0``/``1``: serially in-process).  Each worker
-        evaluates a chunk and returns a dict of records by cache key;
-        the serial walk feeds those records through
-        :meth:`CostCache.get_or_eval`, so results are identical to the
-        serial sweep in content, order and cache-stats accounting.
     prune:
         Skip simulating candidates whose closed-form throughput upper
         bound (:func:`repro.tuner.bounds.throughput_upper_bounds`, built
@@ -509,53 +491,11 @@ def autotune(
 
     # One batched cache read decides which candidates are already
     # evaluated (a sqlite store is queried once, not once per key); the
-    # pruning test and the parallel pre-dispatch both read this set.
+    # pruning test reads this set.
     t_fetch = time.perf_counter()
     held = cache.fetch_many(key for _, _, key in pending)
     if telemetry is not None:
         telemetry.eval_s += time.perf_counter() - t_fetch
-
-    # Fan the cold candidates out to a process pool.  Each worker returns
-    # its records by key; the walk below feeds them through the same
-    # get_or_eval path the serial sweep uses, so hit/miss accounting is
-    # identical.
-    remote: dict[tuple, dict[str, Any]] = {}
-    if workers and workers > 1:
-        # Cached feasible throughputs give the pruning floor before any
-        # cold work is dispatched.  A candidate the serial replay below
-        # prunes at bound ub had some earlier-walked candidate with
-        # simulated throughput > ub; that candidate's own bound is >= its
-        # throughput > ub, so the dispatch filter (ub >= floor from
-        # *all* cached records) keeps a superset of what the replay
-        # simulates -- never the reverse, which would deadlock the
-        # replay into local cold evaluation.
-        best_floor = 0.0
-        if ubs is not None:
-            for idx, cand, key in pending:
-                if key in held:
-                    row = _to_plan_result(
-                        workload, cand, cache.peek(key), memory_cap_bytes
-                    )
-                    if row.feasible and row.tokens_per_s > best_floor:
-                        best_floor = row.tokens_per_s
-        missing: list[Candidate] = []
-        seen: set[tuple] = set()
-        for i, (_, cand, key) in enumerate(pending):
-            if key in held or key in seen:
-                continue
-            if ubs is not None and ubs[i] < best_floor:
-                continue
-            seen.add(key)
-            missing.append(cand)
-        if missing:
-            n_workers = min(int(workers), len(missing))
-            # Strided chunks spread expensive neighbours (large m, MILP
-            # schedules) across workers instead of stacking one worker.
-            chunks = [missing[i::n_workers] for i in range(n_workers)]
-            run = functools.partial(evaluate_chunk, workload, memory_cap_bytes)
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                for records in pool.map(run, chunks):
-                    remote.update(records)
 
     best_tps = 0.0
     t_eval = time.perf_counter()
@@ -568,9 +508,7 @@ def autotune(
                 # report it as pruned.  It never enters the cache, so a
                 # warm re-sweep walks the identical records and replays
                 # the identical decision (cached records are never
-                # pruned).  Remote workers may have speculatively
-                # evaluated it under their weaker pre-dispatch floor;
-                # that record is discarded.
+                # pruned).
                 cache.stats.pruned += 1
                 rows[idx] = _infeasible(
                     cand,
@@ -578,12 +516,7 @@ def autotune(
                     f"below best simulated plan {best_tps:.0f} tokens/s",
                 )
                 continue
-            if key in remote:
-                record = cache.get_or_eval(key, lambda k=key: remote[k])
-            else:
-                record = cache.get_or_eval(
-                    key, lambda c=cand: _cold_evaluate(ctx, c)
-                )
+            record = cache.get_or_eval(key, lambda c=cand: _cold_evaluate(ctx, c))
             held.add(key)  # cached now: a repeat of this key is never pruned
             row = _to_plan_result(workload, cand, record, memory_cap_bytes)
             rows[idx] = row

@@ -201,7 +201,11 @@ class CostCache:
         return value
 
     def peek(self, key: Hashable) -> Any:
-        """Return the held value without touching the hit counters."""
+        """Return the held value without touching the hit counters.
+
+        No sweep calls it; tests read held records through it, and
+        ``planbench/launcher.py`` wraps it by name.
+        """
         with self._lock:
             return self._data[key]
 

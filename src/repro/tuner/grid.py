@@ -74,7 +74,6 @@ def tune_grid(
     schedules: Sequence[str] | None = None,
     options: bool = True,
     cache: CostCache | None = None,
-    workers: int | None = None,
     prune: bool = True,
     telemetry: SweepTelemetry | None = None,
 ) -> list[GridPlan]:
@@ -109,7 +108,6 @@ def tune_grid(
             options=options,
             fill_budget=True,
             cache=cache,
-            workers=workers,
             prune=prune,
             telemetry=telemetry,
         )

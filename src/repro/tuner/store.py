@@ -12,7 +12,7 @@ run to the next:
   index (:meth:`SqliteCostStore.get_many`), not a full-store parse.
   A cache never reads the store per key.
 - **Concurrent writers** -- WAL journal mode plus a generous busy
-  timeout let several processes (CLI sweeps, service workers) write the
+  timeout let several processes (CLI sweeps, planner services) write the
   same store without corrupting it; records are deterministic in their
   key, so last-writer-wins is conflict-free.
 - **Fingerprint stamping** -- a ``meta`` table carries the cost-model

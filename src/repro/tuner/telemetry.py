@@ -9,10 +9,7 @@ its time went, per phase rather than only end to end.
 
 Pass an instance to :func:`repro.tuner.autotune` (or
 :func:`repro.tuner.tune_grid`, which shares one across its points); the
-same object can be reused across several sweeps to aggregate.  In
-parallel sweeps (``workers=N``) the build/simulate work happens inside
-pool workers, so only the parent-side phases (bounds, cache merge) are
-observed -- per-phase attribution is a serial-sweep tool.
+same object can be reused across several sweeps to aggregate.
 """
 
 from __future__ import annotations

@@ -147,13 +147,13 @@ class TestServeParser:
         args = _build_parser().parse_args(["serve"])
         assert args.fn.__name__ == "_cmd_serve"
         assert (args.host, args.port) == ("127.0.0.1", 8642)
-        assert args.cache is None and args.workers is None
+        assert args.cache is None
 
     def test_serve_flags_parse(self):
         from repro.cli import _build_parser
 
         args = _build_parser().parse_args(
             ["serve", "--host", "0.0.0.0", "--port", "0",
-             "--cache", "plans.sqlite", "--workers", "4"]
+             "--cache", "plans.sqlite"]
         )
-        assert args.port == 0 and args.cache == "plans.sqlite"
+        assert (args.host, args.port, args.cache) == ("0.0.0.0", 0, "plans.sqlite")

@@ -135,19 +135,27 @@ class TestBuildSimulate:
     (("describe", "helix", "-p", "-2"), "-p/--pipeline-size"),
     (("build", "1f1b", "-p", "0"), "-p/--pipeline-size"),
     (("simulate", "1f1b", "-p", "0"), "-p/--pipeline-size"),
-    (("tune", "--smoke", "--workers", "0"), "--workers"),
-    (("tune", "--smoke", "--workers", "-5"), "--workers"),
-    (("serve", "--workers", "0"), "--workers"),
-    (("serve", "--workers", "-5"), "--workers"),
 ])
 def test_sizes_and_counts_must_be_positive(capsys, argv, option):
     """A zero or negative size is a usage error, not an empty lint pass,
     a silent default or a late runtime failure.  Only parsed: a value
-    the parser let through must not start a sweep, a pool or a server."""
+    the parser let through must not start a sweep or a server."""
     with pytest.raises(SystemExit) as exc:
         _build_parser().parse_args(list(argv))
     assert exc.value.code == 2
     assert f"error: argument {option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("tune", "--smoke", "--workers", "2"),
+    ("serve", "--workers", "2"),
+])
+def test_workers_is_not_an_option(capsys, argv):
+    """A sweep is one serial walk: neither verb takes a pool size."""
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
 class TestTune:
@@ -174,11 +182,6 @@ class TestTune:
         assert code == 0
         assert f"cache: saved 1 entries to {path}" in out
         assert path.exists()
-
-    def test_workers_flag(self, capsys):
-        code, out, _ = run(capsys, "tune", "--smoke", "--workers", "2")
-        assert code == 0
-        assert "best plan:" in out
 
     def test_top_limits_table(self, capsys):
         code, out, _ = run(capsys, "tune", "--smoke", "--top", "1")

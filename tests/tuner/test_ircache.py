@@ -4,10 +4,10 @@ A sweep's schedules belong to one call: the suite checks that candidate
 keys separate every axis of the candidate space (schedule, recompute,
 micro-batch count, each option grid point), that every candidate is
 simulated in full (no sweep records or resumes a sibling timeline),
-that parallel workers and a shared cost cache agree with evaluating
-each candidate alone, that the LRU bounds hold, and that nothing a
-sweep built is alive once it returns -- freed by reference counting,
-before the collector resumes.
+that a shared cost cache agrees with evaluating each candidate alone,
+that the LRU bounds hold, and that nothing a sweep built is alive once
+it returns -- freed by reference counting, before the collector
+resumes.
 """
 
 import gc
@@ -28,7 +28,6 @@ from repro.tuner.autotune import (
     _to_plan_result,
 )
 from repro.tuner.ircache import ScheduleIRCache
-from repro.tuner.worker import evaluate_chunk
 from repro.workloads import Workload, WorkloadGrid
 from tests.tuner.test_autotune import grid_points
 
@@ -172,18 +171,8 @@ class TestFullSimulation:
         )
         assert any(r.feasible for r in rows)
 
-    def test_evaluate_chunk(self, no_resume):
-        cap = float(WL.cluster.node.gpu.hbm_bytes)
-        records = evaluate_chunk(WL, cap, grid_points(WL, schedules=["helix"]))
-        assert records and all(r["error"] is None for r in records.values())
-
 
 class TestSweepEquivalence:
-    def test_parallel_equals_serial(self):
-        serial = _rows()
-        parallel = _rows(workers=2)
-        assert parallel == serial
-
     def test_shared_cache_across_recomputes_no_false_hits(self):
         # One recompute strategy's evaluation must never leak into
         # another's result: every row of a helix sweep over both its
@@ -233,21 +222,18 @@ class TestGridSharing:
 class TestNothingRetained:
     """Reference counting alone frees everything a sweep built."""
 
-    @pytest.mark.parametrize("sweep", ["autotune", "tune_grid", "chunk"])
+    @pytest.mark.parametrize("sweep", ["autotune", "tune_grid"])
     def test_built_objects_die_with_the_call(self, monkeypatch, sweep):
         schedules = record_builds(monkeypatch)
-        cap = float(WL.cluster.node.gpu.hbm_bytes)
         with collector_off():
             if sweep == "autotune":
                 _rows(schedules=["helix"], prune=False)
-            elif sweep == "tune_grid":
+            else:
                 tune_grid(
                     WorkloadGrid(model="1.3B", seq_lens=(8192,),
                                  pipeline_sizes=(2, 4), budget_tokens=1 << 16),
                     schedules=["helix"],
                 )
-            else:
-                evaluate_chunk(WL, cap, grid_points(WL, schedules=["helix"]))
             left = alive(schedules)
         assert schedules
         assert left == []

@@ -7,7 +7,8 @@ tests pin both behaviours two ways: in-process, by hiding numpy from
 ``import`` while pricing bounds, and end-to-end, by running ``repro
 tune --smoke``, ``repro serve --help``, a full ``autotune`` and
 ``lint_schedules`` in a subprocess whose meta-path blocks numpy *and*
-scipy outright.
+scipy outright.  The same subprocess checks that the planning verbs
+load no process-pool modules either.
 """
 
 import builtins
@@ -89,6 +90,10 @@ except SystemExit as exc:
 numpy_users = sorted(
     m for m in ("repro.memsim", *FIGURE_MODULES) if m in sys.modules
 )
+# Nor any process-pool machinery: a sweep is one serial walk.
+pool_modules = sorted(
+    m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules
+)
 
 from repro.workloads import Workload
 from repro.lint import lint_schedules
@@ -107,6 +112,7 @@ print(json.dumps({
     "tune_exit": tune_exit,
     "serve_help_exit": serve_help_exit,
     "numpy_users": numpy_users,
+    "pool_modules": pool_modules,
     "bounds_type": type(bounds).__name__,
     "pruned": cache.stats.pruned,
     "best_label": best.label,
@@ -140,6 +146,9 @@ class TestNumpyFreeEndToEnd:
         assert probe["tune_exit"] == 0
         assert probe["serve_help_exit"] == 0
         assert probe["numpy_users"] == []
+
+    def test_planning_verbs_load_no_process_pool(self, probe):
+        assert probe["pool_modules"] == []
 
     def test_bounds_degrade_to_list_with_pruning_intact(self, probe):
         assert probe["bounds_type"] == "list"

@@ -8,8 +8,11 @@ import threading
 
 import pytest
 
+from repro.schedules.registry import workload_cache_key
 from repro.tuner import CostCache, SqliteCostStore, autotune, costmodel_fingerprint
+from repro.tuner.autotune import _candidate_key
 from repro.workloads import Workload
+from tests.tuner.test_autotune import grid_points
 
 
 def _key(i):
@@ -334,16 +337,14 @@ class TestAutotuneOverStore:
     def wl(self):
         return Workload.paper("7B", "H20", 4, 32768)
 
-    @pytest.mark.parametrize("workers", [None, 2])
     def test_warm_rerun_makes_no_per_key_store_calls(
-        self, tmp_path, monkeypatch, wl, workers
+        self, tmp_path, monkeypatch, wl
     ):
         path = tmp_path / "store.sqlite"
         autotune(wl, cache=CostCache.open(path))
         cache = CostCache.open(path)
         calls = _count_calls(monkeypatch, "__contains__", "get", "get_many")
-        # Warm, so workers=2 dispatches nothing and starts no pool.
-        warm = autotune(wl, cache=cache, workers=workers)
+        warm = autotune(wl, cache=cache)
         assert calls == {"get_many": 1}
         assert cache.stats.misses == 0 and cache.stats.disk_hits > 0
         assert cache.stats.pruned > 0  # pruned rows took no store query
@@ -358,6 +359,38 @@ class TestAutotuneOverStore:
         cache = CostCache.open(path)
         assert autotune(wl, cache=cache) == exhaustive
         assert cache.stats.pruned == 0 and cache.stats.misses == 0
+
+
+def _persist(wl, cache, path):
+    """Write the records ``cache`` holds for ``wl``'s grid to a fresh store."""
+    wkey = workload_cache_key(wl)
+    cap = float(wl.cluster.node.gpu.hbm_bytes)
+    held = cache.fetch_many(_candidate_key(wkey, cand, cap) for cand in grid_points(wl))
+    SqliteCostStore(path).put_many((key, cache.peek(key)) for key in held)
+
+
+class TestPersistedSweep:
+    @pytest.fixture(scope="class")
+    def wl(self):
+        """The paper's 7B / H20 / p=8 / 64k acceptance workload."""
+        return Workload.paper("7B", "H20", 8, 65536)
+
+    @pytest.fixture(scope="class")
+    def serial(self, wl):
+        cache = CostCache()
+        plans = autotune(wl, cache=cache)
+        return plans, cache
+
+    def test_second_sweep_from_disk_is_all_hits(self, wl, serial, tmp_path):
+        serial_plans, serial_cache = serial
+        path = tmp_path / "sweep.sqlite"
+        _persist(wl, serial_cache, path)
+
+        reloaded = CostCache.open(path)
+        plans = autotune(wl, cache=reloaded)
+        assert plans == serial_plans
+        assert reloaded.stats.misses == 0, "persisted sweep must be fully warm"
+        assert reloaded.stats.disk_hits == reloaded.stats.lookups
 
 
 def _writer(path, start, count):
