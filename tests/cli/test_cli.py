@@ -135,6 +135,8 @@ class TestBuildSimulate:
     (("describe", "helix", "-p", "-2"), "-p/--pipeline-size"),
     (("build", "1f1b", "-p", "0"), "-p/--pipeline-size"),
     (("simulate", "1f1b", "-p", "0"), "-p/--pipeline-size"),
+    (("build", "1f1b", "-m", "0"), "-m/--num-micro-batches"),
+    (("simulate", "1f1b", "--micro-batch", "-1"), "--micro-batch"),
 ])
 def test_sizes_and_counts_must_be_positive(capsys, argv, option):
     """A zero or negative size is a usage error, not an empty lint pass,
@@ -182,6 +184,18 @@ class TestTune:
         assert code == 0
         assert f"cache: saved 1 entries to {path}" in out
         assert path.exists()
+
+    def test_no_prune_finds_the_same_best_plan(self, capsys):
+        """The exhaustive sweep simulates every candidate the pruned walk
+        skips, and still names the same winner."""
+        code, pruned, _ = run(capsys, "tune", "--smoke")
+        assert code == 0
+        code, full, _ = run(capsys, "tune", "--smoke", "--no-prune")
+        assert code == 0
+        best = [line for line in pruned.splitlines() if "best plan:" in line]
+        assert best
+        assert best == [line for line in full.splitlines() if "best plan:" in line]
+        assert "pruned: " in pruned and "pruned: " not in full
 
     def test_top_limits_table(self, capsys):
         code, out, _ = run(capsys, "tune", "--smoke", "--top", "1")

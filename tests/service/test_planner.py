@@ -114,6 +114,11 @@ class TestParsePlanRequest:
 
 
 class TestPlan:
+    def test_service_takes_no_pool_size(self):
+        """Every plan and background sweep is one serial walk."""
+        with pytest.raises(TypeError, match="unexpected keyword argument 'workers'"):
+            PlannerService(workers=2)
+
     def test_matches_direct_autotune_byte_for_byte(self):
         """The service answer serialises a direct autotune run exactly."""
         service = PlannerService()

@@ -11,8 +11,9 @@ import pytest
 from repro.costmodel.memory import RecomputeStrategy
 from repro.experiments.common import METHODS, Workload, run_method
 from repro.schedules.registry import stable_value_key, workload_cache_key
-from repro.tuner import CostCache, autotune
+from repro.tuner import CostCache, autotune, tune_grid
 from repro.tuner.autotune import _candidate_key, _gc_paused, _iter_grid
+from repro.workloads import WorkloadGrid
 
 GIB = float(1 << 30)
 
@@ -347,3 +348,18 @@ class TestAcceptance:
         plans = [p for p in autotune(wl, cache=CostCache()) if p.feasible]
         rates = [p.tokens_per_s for p in plans]
         assert rates == sorted(rates, reverse=True)
+
+
+@pytest.mark.parametrize("sweep", ["autotune", "tune_grid"])
+def test_sweeps_take_no_pool_size(small_wl, sweep):
+    """A sweep is one serial walk: neither entry point takes a worker
+    count, so passing one fails before anything is built."""
+    with pytest.raises(TypeError, match="unexpected keyword argument 'workers'"):
+        if sweep == "autotune":
+            autotune(small_wl, cache=CostCache(), workers=2)
+        else:
+            tune_grid(
+                WorkloadGrid(seq_lens=(8192,), pipeline_sizes=(2,)),
+                cache=CostCache(),
+                workers=2,
+            )

@@ -171,6 +171,12 @@ class TestFullSimulation:
         )
         assert any(r.feasible for r in rows)
 
+    def test_cold_evaluate(self, no_resume):
+        ctx = _EvalContext(WL, float(WL.cluster.node.gpu.hbm_bytes))
+        records = [_cold_evaluate(ctx, c) for c in grid_points(WL, schedules=["helix"])]
+        assert records and all(r["error"] is None for r in records)
+        assert all(r["makespan"] > 0 for r in records)
+
 
 class TestSweepEquivalence:
     def test_shared_cache_across_recomputes_no_false_hits(self):
@@ -185,6 +191,20 @@ class TestSweepEquivalence:
         cap = float(WL.cluster.node.gpu.hbm_bytes)
         uncached = _EvalContext(WL, cap)
         for row in together:
+            record = _cold_evaluate(uncached, row.candidate)
+            assert _to_plan_result(WL, row.candidate, record, cap) == row, row.label
+
+    def test_pruned_rows_match_evaluating_each_candidate_alone(self):
+        # The default walk over every schedule shares one cache and one
+        # context; each row it simulated must still be that candidate's
+        # own evaluation.
+        cap = float(WL.cluster.node.gpu.hbm_bytes)
+        rows = _rows()
+        simulated = [r for r in rows if not (r.reason or "").startswith("pruned")]
+        assert len({r.candidate.schedule for r in simulated}) > 1
+        assert len(simulated) < len(rows)
+        uncached = _EvalContext(WL, cap)
+        for row in simulated:
             record = _cold_evaluate(uncached, row.candidate)
             assert _to_plan_result(WL, row.candidate, record, cap) == row, row.label
 
@@ -222,18 +242,23 @@ class TestGridSharing:
 class TestNothingRetained:
     """Reference counting alone frees everything a sweep built."""
 
-    @pytest.mark.parametrize("sweep", ["autotune", "tune_grid"])
+    @pytest.mark.parametrize("sweep", ["autotune", "tune_grid", "cold_evaluate"])
     def test_built_objects_die_with_the_call(self, monkeypatch, sweep):
         schedules = record_builds(monkeypatch)
+        cap = float(WL.cluster.node.gpu.hbm_bytes)
         with collector_off():
             if sweep == "autotune":
                 _rows(schedules=["helix"], prune=False)
-            else:
+            elif sweep == "tune_grid":
                 tune_grid(
                     WorkloadGrid(model="1.3B", seq_lens=(8192,),
                                  pipeline_sizes=(2, 4), budget_tokens=1 << 16),
                     schedules=["helix"],
                 )
+            else:
+                ctx = _EvalContext(WL, cap)
+                for cand in grid_points(WL, schedules=["helix"]):
+                    _cold_evaluate(ctx, cand)
             left = alive(schedules)
         assert schedules
         assert left == []

@@ -4,13 +4,15 @@ ISSUE acceptance: on the paper's 7B / H20 / p=8 / 64k acceptance grid
 the pruned sweep's best ``PlanResult`` is byte-identical to the
 exhaustive sweep's, the feasible ranking restricted to the candidates
 both sweeps simulated is identical, and pruning decisions replay
-deterministically across warm re-sweeps.
+deterministically across fresh, partly warm and warm re-sweeps.
 """
 
 import pytest
 
 from repro.experiments.common import Workload
-from repro.tuner import CostCache, autotune
+from repro.schedules.registry import workload_cache_key
+from repro.tuner import CostCache, SweepTelemetry, autotune
+from repro.tuner.autotune import _candidate_key
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +91,17 @@ class TestPrunedVsExhaustive:
             if (row.reason or "").startswith("pruned"):
                 assert by_cand[row.candidate].tokens_per_s < best
 
+    def test_telemetry_counts_only_simulated_candidates(self, wl):
+        """Every pending candidate is either built and simulated once,
+        or pruned; the exhaustive sweep builds them all."""
+        for prune in (True, False):
+            tel, cache = SweepTelemetry(), CostCache()
+            rows = autotune(wl, cache=cache, prune=prune, telemetry=tel)
+            assert tel.candidates == len(rows)
+            assert tel.built == tel.simulated == cache.stats.misses == len(cache)
+            assert tel.built + cache.stats.pruned == tel.candidates
+            assert (cache.stats.pruned > 0) == prune
+
 
 class TestDeterminism:
     def test_warm_resweep_replays_identical_decisions(self, wl):
@@ -104,3 +117,37 @@ class TestDeterminism:
         skipped = sum(1 for r in cold if (r.reason or "").startswith("pruned"))
         assert skipped > 0
         assert shared.stats.pruned == 2 * skipped
+
+    def test_fresh_sweep_replays_identical_decisions(self, wl, pruned):
+        """A second cold sweep on its own cache simulates and prunes
+        exactly the candidates the first one did."""
+        plans, first = pruned
+        cache = CostCache()
+        assert autotune(wl, cache=cache) == plans
+        assert len(cache) == len(first)
+        assert cache.stats.misses == first.stats.misses
+        assert cache.stats.pruned == first.stats.pruned
+
+    def test_partly_warm_cache_replays_identical_decisions(self, wl, pruned):
+        """Records already cached are reused, not re-simulated, and do
+        not change what the walk prunes: the rows, and the candidates
+        the walk skips, match a cold sweep's."""
+        plans, first = pruned
+        wkey = workload_cache_key(wl)
+        cap = float(wl.cluster.node.gpu.hbm_bytes)
+        simulated = [
+            _candidate_key(wkey, r.candidate, cap)
+            for r in plans
+            if not (r.reason or "").startswith("pruned")
+        ]
+        preloaded = simulated[::2]
+        cache = CostCache()
+        for key in preloaded:
+            cache.get_or_eval(key, lambda key=key: first.peek(key))
+        before = cache.stats.misses
+
+        assert autotune(wl, cache=cache) == plans
+        assert cache.stats.hits == len(preloaded)
+        assert cache.stats.misses - before == len(simulated) - len(preloaded)
+        assert cache.stats.pruned == first.stats.pruned
+        assert len(cache) == len(simulated)

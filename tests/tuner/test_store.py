@@ -392,6 +392,74 @@ class TestPersistedSweep:
         assert reloaded.stats.misses == 0, "persisted sweep must be fully warm"
         assert reloaded.stats.disk_hits == reloaded.stats.lookups
 
+    def test_cold_sweep_stores_exactly_the_simulated_candidates(
+        self, wl, serial, tmp_path
+    ):
+        """Each simulated candidate is written through under its own
+        candidate key; pruned candidates leave nothing in the store."""
+        serial_plans, _ = serial
+        cache = CostCache.open(tmp_path / "sweep.sqlite")
+        assert autotune(wl, cache=cache) == serial_plans
+        wkey = workload_cache_key(wl)
+        cap = float(wl.cluster.node.gpu.hbm_bytes)
+        simulated = {
+            _candidate_key(wkey, r.candidate, cap)
+            for r in serial_plans
+            if not (r.reason or "").startswith("pruned")
+        }
+        everything = [_candidate_key(wkey, cand, cap) for cand in grid_points(wl)]
+        store = SqliteCostStore(tmp_path / "sweep.sqlite")
+        assert set(store.get_many(everything)) == simulated
+        assert len(store) == cache.stats.misses == len(simulated)
+        assert cache.stats.total_hits == 0
+
+    def test_partly_persisted_sweep_evaluates_only_the_rest(
+        self, wl, serial, tmp_path
+    ):
+        """A store holding half the sweep's records: the sweep reads
+        those off the disk and evaluates exactly the other half."""
+        serial_plans, serial_cache = serial
+        wkey = workload_cache_key(wl)
+        cap = float(wl.cluster.node.gpu.hbm_bytes)
+        simulated = [
+            _candidate_key(wkey, r.candidate, cap)
+            for r in serial_plans
+            if not (r.reason or "").startswith("pruned")
+        ]
+        kept = simulated[::2]
+        path = tmp_path / "sweep.sqlite"
+        SqliteCostStore(path).put_many((key, serial_cache.peek(key)) for key in kept)
+
+        reloaded = CostCache.open(path)
+        assert autotune(wl, cache=reloaded) == serial_plans
+        assert reloaded.stats.disk_hits == len(kept)
+        assert reloaded.stats.misses == len(simulated) - len(kept)
+        assert len(reloaded) == len(simulated)
+
+    def test_sweep_in_another_process_warms_this_one(self, wl, serial, tmp_path):
+        """Processes share a store: candidate keys computed in a fresh
+        interpreter (its own hash seed) are the keys this one reads."""
+        serial_plans, _ = serial
+        path = str(tmp_path / "shared.sqlite")
+        proc = multiprocessing.get_context("spawn").Process(
+            target=_sweeper, args=(path,)
+        )
+        proc.start()
+        proc.join(timeout=120)
+        assert proc.exitcode == 0
+
+        reloaded = CostCache.open(path)
+        assert autotune(wl, cache=reloaded) == serial_plans
+        assert reloaded.stats.misses == 0
+        assert reloaded.stats.disk_hits == reloaded.stats.lookups > 0
+
+
+def _sweeper(path):
+    """One sweeping process: a cold acceptance-grid sweep into ``path``."""
+    cache = CostCache.open(path)
+    autotune(Workload.paper("7B", "H20", 8, 65536), cache=cache)
+    cache.close()
+
 
 def _writer(path, start, count):
     """One writer process: upsert ``count`` entries starting at ``start``."""
