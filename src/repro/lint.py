@@ -169,10 +169,7 @@ def lint_schedules(
     for p in pp_sizes:
         wl = Workload.paper(model, gpu, p, seq_len)
         static = wl.static_memory()
-        context = AnalysisContext(
-            static_memory_bytes=static,
-            memory_cap_bytes=wl.cluster.node.gpu.hbm_bytes,
-        )
+        cap = wl.cluster.node.gpu.hbm_bytes
         for name in names:
             spec = get_schedule(name)
             m = (
@@ -196,7 +193,15 @@ def lint_schedules(
                 cell.skip_reason = str(err)
                 cells.append(cell)
                 continue
-            cell.report = SCHEDULE_PASSES.run(sched, passes=passes, context=context)
+            # A context per cell: its channel-graph memo holds the
+            # cell's schedule, and dies when the run returns.
+            cell.report = SCHEDULE_PASSES.run(
+                sched,
+                passes=passes,
+                context=AnalysisContext(
+                    static_memory_bytes=static, memory_cap_bytes=cap
+                ),
+            )
             cell.static_peaks = static_peak_memory(sched, static)
             cells.append(cell)
     label = (

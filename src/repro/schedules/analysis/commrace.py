@@ -149,7 +149,7 @@ def check_comm_order(
     (``helix-naive`` exhibits exactly this, which is one reason the
     paper's final schedule reorders its communication).
     """
-    g = build_channel_graph(schedule)
+    g = context.channel_graph(schedule)
     issues: list[PassIssue] = []
     for (src, dst), sends in sorted(g.sends.items()):
         recvs = g.recvs.get((src, dst), [])
@@ -210,7 +210,7 @@ def check_hol_blocking(
     """
     p = schedule.num_stages
     programs = schedule.programs
-    g = build_channel_graph(schedule)
+    g = context.channel_graph(schedule)
     # Per-channel send order and each channel's delivery cursor.
     send_index: dict[str, int] = {}
     channel_of: dict[str, tuple[int, int]] = {}

@@ -19,10 +19,14 @@ hygiene hazard; ``INFO`` is advisory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any
 
 from repro.passkit import Issue, PassRegistry, Severity
 from repro.schedules.ir import Schedule
+
+if TYPE_CHECKING:  # commrace imports this module
+    from repro.schedules.analysis.commrace import ChannelGraph
 
 __all__ = ["PassIssue", "AnalysisContext", "SCHEDULE_PASSES"]
 
@@ -62,10 +66,33 @@ class AnalysisContext:
     simulator would be given (scalar = same on every stage);
     ``memory_cap_bytes`` the per-GPU capacity the peak-memory pass
     checks against (``None`` disables the capacity check).
+
+    The context also keeps the last schedule's channel graph
+    (:meth:`channel_graph`), which ``comm-order`` and ``comm-hol`` both
+    read.
     """
 
     static_memory_bytes: list[float] | float = 0.0
     memory_cap_bytes: float | None = None
+    _channel_graph: tuple[Schedule, Any] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def channel_graph(self, schedule: Schedule) -> ChannelGraph:
+        """``schedule``'s channel graph, built once per context.
+
+        The memo holds the schedule object itself, never its ``id()``,
+        so a schedule allocated where a freed one lived never reads the
+        freed one's graph.  It holds the last schedule for as long as
+        the context lives, so a caller gives each schedule its own
+        context (:func:`repro.lint.lint_schedules` makes one per cell).
+        """
+        memo = self._channel_graph
+        if memo is None or memo[0] is not schedule:
+            from repro.schedules.analysis.commrace import build_channel_graph
+
+            memo = self._channel_graph = (schedule, build_channel_graph(schedule))
+        return memo[1]
 
     def static_per_stage(self, schedule: Schedule) -> list[float]:
         """The static baseline expanded to one entry per stage."""

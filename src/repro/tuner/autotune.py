@@ -23,8 +23,10 @@ evaluation, while the collector is still paused.
 
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
+import json
 import threading
 import time
 from contextlib import contextmanager
@@ -45,7 +47,7 @@ from repro.sim import simulate
 from repro.sim import resimulate, simulate_recording  # noqa: F401
 from repro.sim.engine import DeadlockError
 from repro.tuner.bounds import throughput_upper_bounds
-from repro.tuner.cache import CostCache
+from repro.tuner.cache import CostCache, CostKey
 from repro.tuner.telemetry import SweepTelemetry
 from repro.workloads import Workload
 
@@ -218,19 +220,49 @@ def _iter_grid(
 # -- evaluation --------------------------------------------------------------
 
 
-def _candidate_key(wkey: tuple, cand: Candidate, memory_cap_bytes: float) -> tuple:
-    # ``wkey`` is workload_cache_key(workload): a canonical,
-    # process-stable identity, so two workloads sharing a model/cluster
-    # *name* never alias in a shared or persisted cache, and every
-    # process sharing a sqlite store computes the same key.
+#: One compact encoder for every key; ``json.dumps(..., separators=...)``
+#: would construct an encoder per call.
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
+def _workload_text(wkey: tuple, memory_cap_bytes: float) -> str:
+    """The workload half of a sweep's cost-cache keys.
+
+    ``wkey`` is workload_cache_key(workload): a canonical,
+    process-stable identity, so two workloads sharing a model/cluster
+    *name* never alias in a shared or persisted cache, and every
+    process sharing a sqlite store computes the same key.  The text
+    opens the JSON array ``[wkey,cap,`` that each candidate text
+    closes; a sweep encodes it once, and all its keys share the string.
+    """
+    return _JSON.encode((wkey, float(memory_cap_bytes)))[:-1] + ","
+
+
+@functools.lru_cache(maxsize=256)
+def _candidate_parts(
+    schedule: str, recompute: str, options: tuple[tuple[str, Any], ...]
+) -> tuple[str, str]:
+    """A candidate text's fixed parts around its micro-batch count.
+
+    Option combinations that compare equal share a text, as they share
+    a grid point in :func:`_option_combos`.
+    """
     return (
-        wkey,
-        float(memory_cap_bytes),
-        cand.schedule,
-        cand.recompute.value,
-        cand.num_micro_batches,
-        cand.options,
+        _JSON.encode((schedule, recompute))[1:-1] + ",",
+        "," + _JSON.encode(options) + "]",
     )
+
+
+def _candidate_key(workload_text: str, cand: Candidate) -> CostKey:
+    """``cand``'s cost-cache key: (workload text, candidate text).
+
+    Joined, the two strings are the canonical JSON of ``(wkey, cap,
+    schedule, recompute, num_micro_batches, options)``, the text a
+    store keeps, so a key is encoded once and hashed as two strings
+    that cache their hashes.
+    """
+    head, tail = _candidate_parts(cand.schedule, cand.recompute.value, cand.options)
+    return workload_text, f"{head}{cand.num_micro_batches}{tail}"
 
 
 class _EvalContext:
@@ -454,16 +486,14 @@ def autotune(
     if memory_cap_bytes is None:
         memory_cap_bytes = float(workload.cluster.node.gpu.hbm_bytes)
 
-    wkey = workload_cache_key(workload)
+    wtext = _workload_text(workload_cache_key(workload), memory_cap_bytes)
     rows: list[PlanResult | None] = []
-    pending: list[tuple[int, Candidate, tuple]] = []
+    pending: list[tuple[int, Candidate, CostKey]] = []
     for cand, precluded in _iter_grid(workload, schedules, options, fill_budget):
         if precluded is not None:
             rows.append(_infeasible(cand, precluded))
             continue
-        pending.append(
-            (len(rows), cand, _candidate_key(wkey, cand, memory_cap_bytes))
-        )
+        pending.append((len(rows), cand, _candidate_key(wtext, cand)))
         rows.append(None)
 
     if telemetry is not None:

@@ -7,7 +7,7 @@ planner re-ranking configurations, interactive what-if loops, nested
 tuner calls -- can reuse earlier evaluations instead of re-running the
 discrete-event simulator.
 
-The cache is a plain dict keyed on that tuple; entries are the raw
+The cache is a plain dict keyed on that candidate; entries are the raw
 evaluation records (simulated metrics or the build-failure reason), so a
 hit reproduces the cold result exactly.  :meth:`CostCache.open` makes it
 **persistent** over a :class:`repro.tuner.store.SqliteCostStore`
@@ -15,8 +15,11 @@ hit reproduces the cold result exactly.  :meth:`CostCache.open` makes it
 sweep reads the store once, in one batched query for all its keys
 (:meth:`CostCache.fetch_many`), and every cold evaluation is written
 through, so repeated CLI sweeps, concurrent processes and the planner
-service share one store and nothing is flushed at the end.  Candidate
-keys are stable nested tuples of primitives (see
+service share one store and nothing is flushed at the end.  A
+candidate key is a :data:`CostKey` pair of strings, (workload text,
+candidate text), which the cache treats as opaque; joined, they are
+the key's canonical JSON text (built by
+:func:`repro.tuner.autotune._candidate_key` from
 :func:`repro.schedules.registry.workload_cache_key`).  Stores are
 stamped with a cost-model source fingerprint
 (:func:`costmodel_fingerprint`); opening a store written by a different
@@ -33,12 +36,17 @@ import hashlib
 import os
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 if TYPE_CHECKING:  # repro.tuner.store imports this module; avoid the cycle
     from repro.tuner.store import SqliteCostStore
 
 __all__ = ["CacheStats", "CostCache", "costmodel_fingerprint"]
+
+#: A candidate's cost-cache key: (workload text, candidate text).  One
+#: sweep's keys share one workload string; the two joined are the
+#: canonical JSON text a store keeps the record under.
+CostKey = tuple[str, str]
 
 _fingerprint: str | None = None
 
@@ -172,12 +180,12 @@ class CostCache:
         #: Lazy on-disk store; None for a purely in-memory cache.
         self.store = store
         self.stats = CacheStats()
-        self._data: dict[Hashable, Any] = {}  # guarded-by: _lock
+        self._data: dict[CostKey, Any] = {}  # guarded-by: _lock
         #: Keys whose records came off the store (for stats only).
-        self._disk_keys: set[Hashable] = set()  # guarded-by: _lock
+        self._disk_keys: set[CostKey] = set()  # guarded-by: _lock
         self._lock = threading.Lock()
 
-    def get_or_eval(self, key: Hashable, evaluate: Callable[[], Any]) -> Any:
+    def get_or_eval(self, key: CostKey, evaluate: Callable[[], Any]) -> Any:
         """Return the cached value for ``key``, evaluating on first use.
 
         A cold record is written through to the store before it is held
@@ -200,7 +208,7 @@ class CostCache:
             self._data[key] = value
         return value
 
-    def peek(self, key: Hashable) -> Any:
+    def peek(self, key: CostKey) -> Any:
         """Return the held value without touching the hit counters.
 
         No sweep calls it; tests read held records through it, and
@@ -209,7 +217,7 @@ class CostCache:
         with self._lock:
             return self._data[key]
 
-    def fetch_many(self, keys: Iterable[Hashable]) -> set[Hashable]:
+    def fetch_many(self, keys: Iterable[CostKey]) -> set[CostKey]:
         """The subset of ``keys`` this cache holds, in memory or in the store.
 
         Keys missing from memory are read from the store in one batched
@@ -269,7 +277,7 @@ class CostCache:
         with self._lock:
             return len(self._data)
 
-    def __contains__(self, key: Hashable) -> bool:
+    def __contains__(self, key: CostKey) -> bool:
         with self._lock:
             if key in self._data:
                 return True

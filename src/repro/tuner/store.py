@@ -27,9 +27,10 @@ cache writes every cold evaluation through with
 is not a cost cache store is refused with a :class:`ValueError` and
 left as it was.
 
-Keys are the tuner's canonical nested primitive tuples
-(:func:`repro.schedules.registry.workload_cache_key` products); they
-serialise to canonical JSON text for the ``TEXT PRIMARY KEY`` column.
+A key is a :data:`~repro.tuner.cache.CostKey` pair of strings,
+(workload text, candidate text), already encoded by the tuner; the
+store writes the two joined to the ``TEXT PRIMARY KEY`` column.  A
+nested-tuple key, the form earlier versions encoded here, raises.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ import sqlite3
 import threading
 import warnings
 import weakref
-from typing import Any, Hashable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
-from repro.tuner.cache import costmodel_fingerprint
+from repro.tuner.cache import CostKey, costmodel_fingerprint
 
 __all__ = ["SqliteCostStore"]
 
@@ -55,9 +56,10 @@ _VERSION = 1
 _GET_MANY_CHUNK = 500
 
 
-def _encode_key(key: Hashable) -> str:
-    """Canonical JSON text of a nested primitive-tuple candidate key."""
-    return json.dumps(key, separators=(",", ":"))
+def _key_text(key: CostKey) -> str:
+    """The stored text of a (workload text, candidate text) key."""
+    workload, candidate = key
+    return workload + candidate
 
 
 class SqliteCostStore:
@@ -235,23 +237,23 @@ class SqliteCostStore:
 
     # -- entries ----------------------------------------------------------
 
-    def get(self, key: Hashable) -> Any | None:
+    def get(self, key: CostKey) -> Any | None:
         """The record stored under ``key``, or None (one indexed query)."""
         row = self._conn.execute(
-            "SELECT value FROM entries WHERE key = ?", (_encode_key(key),)
+            "SELECT value FROM entries WHERE key = ?", (_key_text(key),)
         ).fetchone()
         return None if row is None else json.loads(row[0])
 
-    def get_many(self, keys: Iterable[Hashable]) -> dict[Hashable, Any]:
+    def get_many(self, keys: Iterable[CostKey]) -> dict[CostKey, Any]:
         """The stored records among ``keys``, as ``{key: record}``.
 
         One ``IN (...)`` query per :data:`_GET_MANY_CHUNK` keys instead
         of one point query per key; absent keys are simply missing from
         the result.
         """
-        by_text = {_encode_key(key): key for key in keys}
+        by_text = {_key_text(key): key for key in keys}
         texts = list(by_text)
-        found: dict[Hashable, Any] = {}
+        found: dict[CostKey, Any] = {}
         conn = self._conn
         for start in range(0, len(texts), _GET_MANY_CHUNK):
             chunk = texts[start:start + _GET_MANY_CHUNK]
@@ -262,18 +264,18 @@ class SqliteCostStore:
                 found[by_text[key_text]] = json.loads(value_text)
         return found
 
-    def put(self, key: Hashable, record: Any) -> None:
+    def put(self, key: CostKey, record: Any) -> None:
         """Insert or replace one record (committed immediately)."""
         with self._conn as conn:
             conn.execute(
                 "INSERT OR REPLACE INTO entries (key, value) VALUES (?, ?)",
-                (_encode_key(key), json.dumps(record, separators=(",", ":"))),
+                (_key_text(key), json.dumps(record, separators=(",", ":"))),
             )
 
-    def put_many(self, entries: Iterator[tuple[Hashable, Any]]) -> int:
+    def put_many(self, entries: Iterator[tuple[CostKey, Any]]) -> int:
         """Insert or replace a batch in one transaction; returns the count."""
         rows = [
-            (_encode_key(key), json.dumps(record, separators=(",", ":")))
+            (_key_text(key), json.dumps(record, separators=(",", ":")))
             for key, record in entries
         ]
         if rows:
@@ -285,9 +287,9 @@ class SqliteCostStore:
                 )
         return len(rows)
 
-    def __contains__(self, key: Hashable) -> bool:
+    def __contains__(self, key: CostKey) -> bool:
         row = self._conn.execute(
-            "SELECT 1 FROM entries WHERE key = ?", (_encode_key(key),)
+            "SELECT 1 FROM entries WHERE key = ?", (_key_text(key),)
         ).fetchone()
         return row is not None
 

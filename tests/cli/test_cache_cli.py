@@ -7,7 +7,9 @@ import sqlite3
 import pytest
 
 from repro.cli import main
+from repro.costmodel.memory import RecomputeStrategy
 from repro.tuner import SqliteCostStore, costmodel_fingerprint
+from repro.tuner.autotune import Candidate, _candidate_key, _workload_text
 
 
 def run(capsys, *argv):
@@ -18,8 +20,9 @@ def run(capsys, *argv):
 
 def _seed(path, n=3):
     store = SqliteCostStore(path)
+    wtext = _workload_text(("model", "7B"), 1.0)
     store.put_many(
-        ((("model", "7B"), 1.0, "helix", "none", i, ()),
+        (_candidate_key(wtext, Candidate("helix", RecomputeStrategy.NONE, i)),
          {"error": None, "makespan": float(i),
           "peak_memory_bytes": 2.0 * i, "bubble_fraction": 0.1})
         for i in range(n)

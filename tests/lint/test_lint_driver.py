@@ -5,12 +5,20 @@ and comes back ERROR-free from the full pass pipeline at p in {2, 4}.
 """
 
 import json
+import weakref
 
 import pytest
 
+import repro.schedules.analysis.commrace as commrace
 from repro.cli import main
 from repro.lint import LintReport, default_micro_batches, lint_schedules
-from repro.schedules.registry import available_schedules, get_schedule
+from repro.schedules.analysis import SCHEDULE_PASSES, AnalysisContext
+from repro.schedules.costs import UnitCosts
+from repro.schedules.registry import (
+    available_schedules,
+    build_schedule,
+    get_schedule,
+)
 
 
 def run(capsys, *argv):
@@ -101,6 +109,52 @@ class TestLintSchedules:
         empty = LintReport(cells=[], workload_label="nothing")
         assert "0 cell(s)" in empty.format()
         assert empty.ok
+
+
+class TestChannelGraphSharing:
+    """comm-order and comm-hol share one channel graph per cell."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        build = commrace.build_channel_graph
+
+        def counted(schedule):
+            built.append(schedule)
+            return build(schedule)
+
+        monkeypatch.setattr(commrace, "build_channel_graph", counted)
+        return built
+
+    def test_a_cell_builds_its_graph_once(self, builds):
+        report = lint_schedules(schedules=["helix"], pp_sizes=(4,))
+        (cell,) = report.cells
+        assert {"comm-order", "comm-hol"} <= set(cell.report.passes_run)
+        assert len(builds) == 1
+
+    def test_a_context_never_hands_a_schedule_another_ones_graph(self, builds):
+        ctx = AnalysisContext()
+        first = build_schedule("helix", (4, 8), UnitCosts(num_layers=4))
+        graph = ctx.channel_graph(first)
+        assert ctx.channel_graph(first) is graph
+        del first
+        second = build_schedule("helix", (4, 8), UnitCosts(num_layers=4))
+        assert ctx.channel_graph(second) is not graph
+        assert len(builds) == 2
+
+    def test_no_cell_keeps_its_schedule(self, monkeypatch):
+        """By each cell's run, every earlier cell's schedule is freed."""
+        subjects = []
+        run = SCHEDULE_PASSES.run
+
+        def tracked(schedule, *args, **kwargs):
+            assert [ref for ref in subjects if ref() is not None] == []
+            subjects.append(weakref.ref(schedule))
+            return run(schedule, *args, **kwargs)
+
+        monkeypatch.setattr(SCHEDULE_PASSES, "run", tracked)
+        lint_schedules(schedules=["helix", "1f1b", "zb1p"], pp_sizes=(4,))
+        assert len(subjects) == 3
 
 
 class TestLintCli:

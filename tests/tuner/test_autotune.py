@@ -12,7 +12,12 @@ from repro.costmodel.memory import RecomputeStrategy
 from repro.experiments.common import METHODS, Workload, run_method
 from repro.schedules.registry import stable_value_key, workload_cache_key
 from repro.tuner import CostCache, autotune, tune_grid
-from repro.tuner.autotune import _candidate_key, _gc_paused, _iter_grid
+from repro.tuner.autotune import (
+    _candidate_key,
+    _gc_paused,
+    _iter_grid,
+    _workload_text,
+)
 from repro.workloads import WorkloadGrid
 
 GIB = float(1 << 30)
@@ -213,7 +218,9 @@ class TestCache:
     def test_key_distinguishes_caps(self, small_wl):
         c1 = grid_points(small_wl)[0]
         wkey = workload_cache_key(small_wl)
-        assert _candidate_key(wkey, c1, 1.0) != _candidate_key(wkey, c1, 2.0)
+        assert _candidate_key(_workload_text(wkey, 1.0), c1) != _candidate_key(
+            _workload_text(wkey, 2.0), c1
+        )
 
 
 class TestFillBudgetParity:

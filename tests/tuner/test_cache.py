@@ -11,16 +11,21 @@ import warnings
 import pytest
 
 import repro
+from repro.costmodel.memory import RecomputeStrategy
 from repro.tuner import (
     CacheStats,
     CostCache,
     SqliteCostStore,
     costmodel_fingerprint,
 )
+from repro.tuner.autotune import Candidate, _candidate_key, _workload_text
+
+#: The workload text of every test key (a fake workload identity).
+_WTEXT = _workload_text(("model", "7B"), 1.0)
 
 
 def _key(i):
-    return (("model", "7B"), 1.0, "helix", "none", i, ())
+    return _candidate_key(_WTEXT, Candidate("helix", RecomputeStrategy.NONE, i))
 
 
 def _record(i):
@@ -39,7 +44,7 @@ class TestPersistence:
         loaded = CostCache.open(path)
         assert len(loaded) == 5
         keys = [_key(i) for i in range(5)]
-        # Keys must round trip as tuples, not JSON lists.
+        # Keys round trip as the (workload, candidate) pairs asked for.
         assert loaded.fetch_many(keys) == set(keys)
         for i in range(5):
             assert loaded.peek(_key(i)) == _record(i)
@@ -67,7 +72,7 @@ class TestPersistence:
         path.write_text(json.dumps({
             "format": "repro-costcache", "version": 1,
             "costmodel": costmodel_fingerprint(),
-            "entries": [[list(_key(0)), _record(0)]],
+            "entries": [[json.loads("".join(_key(0))), _record(0)]],
         }))
         before = path.read_bytes()
         with pytest.raises(ValueError, match="not a sqlite cost cache store") as err:

@@ -26,6 +26,7 @@ from repro.tuner.autotune import (
     _cold_evaluate,
     _EvalContext,
     _to_plan_result,
+    _workload_text,
 )
 from repro.tuner.ircache import ScheduleIRCache
 from repro.workloads import Workload, WorkloadGrid
@@ -36,7 +37,7 @@ WL = Workload.paper("1.3B", "H20", 4, 8192)
 
 def _ir_key(cand, wkey=("w",), cap=1.0):
     """A candidate's cost-cache key."""
-    return _candidate_key(wkey, cand, cap)
+    return _candidate_key(_workload_text(wkey, cap), cand)
 
 
 def _rows(**kw):

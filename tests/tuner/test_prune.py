@@ -12,7 +12,7 @@ import pytest
 from repro.experiments.common import Workload
 from repro.schedules.registry import workload_cache_key
 from repro.tuner import CostCache, SweepTelemetry, autotune
-from repro.tuner.autotune import _candidate_key
+from repro.tuner.autotune import _candidate_key, _workload_text
 
 
 @pytest.fixture(scope="module")
@@ -133,10 +133,11 @@ class TestDeterminism:
         not change what the walk prunes: the rows, and the candidates
         the walk skips, match a cold sweep's."""
         plans, first = pruned
-        wkey = workload_cache_key(wl)
-        cap = float(wl.cluster.node.gpu.hbm_bytes)
+        wtext = _workload_text(
+            workload_cache_key(wl), wl.cluster.node.gpu.hbm_bytes
+        )
         simulated = [
-            _candidate_key(wkey, r.candidate, cap)
+            _candidate_key(wtext, r.candidate)
             for r in plans
             if not (r.reason or "").startswith("pruned")
         ]

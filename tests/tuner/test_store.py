@@ -8,15 +8,20 @@ import threading
 
 import pytest
 
-from repro.schedules.registry import workload_cache_key
+from repro.costmodel.memory import RecomputeStrategy
+from repro.schedules.registry import available_schedules, workload_cache_key
 from repro.tuner import CostCache, SqliteCostStore, autotune, costmodel_fingerprint
-from repro.tuner.autotune import _candidate_key
+from repro.tuner.autotune import Candidate, _candidate_key, _workload_text
 from repro.workloads import Workload
 from tests.tuner.test_autotune import grid_points
 
+#: The workload text of every test key (a fake workload identity).
+_WTEXT = _workload_text(("model", "7B"), 1.0)
+
 
 def _key(i):
-    return (("model", "7B"), 1.0, "helix", "none", i, (("fold", 2),))
+    cand = Candidate("helix", RecomputeStrategy.NONE, i, (("fold", 2),))
+    return _candidate_key(_WTEXT, cand)
 
 
 def _record(i):
@@ -58,7 +63,6 @@ class TestStore:
 
         reopened = SqliteCostStore(path)
         for i in range(5):
-            # Keys must round trip as nested tuples, not JSON lists.
             assert _key(i) in reopened
             assert reopened.get(_key(i)) == _record(i)
         assert _key(99) not in reopened
@@ -178,6 +182,77 @@ class TestStore:
         finally:
             conn.close()
         assert stamp == costmodel_fingerprint()
+
+
+#: Workloads whose grid candidates pin the stored key text.
+_PINNED_WORKLOADS = [
+    ("7B", "H20", 8, 65536),
+    ("3B", "A800", 16, 131072),
+    ("13B", "H20", 4, 32768),
+    ("1.3B", "A800", 2, 16384),
+]
+
+
+class TestKeyText:
+    """A key is (workload text, candidate text); the store keeps them joined."""
+
+    def test_stored_text_is_the_candidates_canonical_json(self):
+        schedules = set()
+        for preset in _PINNED_WORKLOADS:
+            wl = Workload.paper(*preset)
+            wkey = workload_cache_key(wl)
+            hbm = wl.cluster.node.gpu.hbm_bytes
+            for cap in (hbm, 0.5 * (1 << 30), 12345.678, 0):
+                wtext = _workload_text(wkey, cap)
+                for cand in grid_points(wl, schedules=available_schedules()):
+                    workload, candidate = _candidate_key(wtext, cand)
+                    assert workload is wtext
+                    assert workload + candidate == json.dumps(
+                        (wkey, float(cap), cand.schedule, cand.recompute.value,
+                         cand.num_micro_batches, cand.options),
+                        separators=(",", ":"),
+                    )
+                    schedules.add(cand.schedule)
+        assert schedules == set(available_schedules())
+
+    def test_a_warm_sweep_encodes_its_workload_once(self, tmp_path, monkeypatch):
+        wl = Workload.paper("7B", "H20", 4, 32768)
+        path = tmp_path / "store.sqlite"
+        autotune(wl, cache=CostCache.open(path))
+        asked = []
+        get_many = SqliteCostStore.get_many
+
+        def recorded(self, keys):
+            keys = list(keys)
+            asked.extend(keys)
+            return get_many(self, keys)
+
+        monkeypatch.setattr(SqliteCostStore, "get_many", recorded)
+        cache = CostCache.open(path)
+        autotune(wl, cache=cache)
+        assert cache.stats.misses == 0 and cache.stats.pruned > 0
+        assert len(asked) == len(grid_points(wl))
+        workload = asked[0][0]
+        assert workload == _sweep_text(wl)
+        assert all(w is workload for w, _ in asked)
+
+    def test_the_store_refuses_a_nested_tuple_key(self, tmp_path):
+        store = SqliteCostStore(tmp_path / "store.sqlite")
+        nested = (("model", "7B"), 1.0, "helix", "none", 8, (("fold", 2),))
+        with pytest.raises(ValueError):
+            store.put(nested, _record(0))
+        with pytest.raises(ValueError):
+            store.put_many(iter([(nested, _record(0))]))
+        with pytest.raises(ValueError):
+            store.get(nested)
+        with pytest.raises(ValueError):
+            store.get_many([nested])
+        with pytest.raises(ValueError):
+            nested in store
+        # A pair whose halves are not both strings has no text either.
+        with pytest.raises(TypeError):
+            store.put((nested[0], "x"), _record(0))
+        assert len(store) == 0
 
 
 class TestCacheIntegration:
@@ -361,11 +436,15 @@ class TestAutotuneOverStore:
         assert cache.stats.pruned == 0 and cache.stats.misses == 0
 
 
+def _sweep_text(wl):
+    """The workload text of ``wl``'s sweep at the HBM cap."""
+    return _workload_text(workload_cache_key(wl), wl.cluster.node.gpu.hbm_bytes)
+
+
 def _persist(wl, cache, path):
     """Write the records ``cache`` holds for ``wl``'s grid to a fresh store."""
-    wkey = workload_cache_key(wl)
-    cap = float(wl.cluster.node.gpu.hbm_bytes)
-    held = cache.fetch_many(_candidate_key(wkey, cand, cap) for cand in grid_points(wl))
+    wtext = _sweep_text(wl)
+    held = cache.fetch_many(_candidate_key(wtext, cand) for cand in grid_points(wl))
     SqliteCostStore(path).put_many((key, cache.peek(key)) for key in held)
 
 
@@ -400,14 +479,13 @@ class TestPersistedSweep:
         serial_plans, _ = serial
         cache = CostCache.open(tmp_path / "sweep.sqlite")
         assert autotune(wl, cache=cache) == serial_plans
-        wkey = workload_cache_key(wl)
-        cap = float(wl.cluster.node.gpu.hbm_bytes)
+        wtext = _sweep_text(wl)
         simulated = {
-            _candidate_key(wkey, r.candidate, cap)
+            _candidate_key(wtext, r.candidate)
             for r in serial_plans
             if not (r.reason or "").startswith("pruned")
         }
-        everything = [_candidate_key(wkey, cand, cap) for cand in grid_points(wl)]
+        everything = [_candidate_key(wtext, cand) for cand in grid_points(wl)]
         store = SqliteCostStore(tmp_path / "sweep.sqlite")
         assert set(store.get_many(everything)) == simulated
         assert len(store) == cache.stats.misses == len(simulated)
@@ -419,10 +497,9 @@ class TestPersistedSweep:
         """A store holding half the sweep's records: the sweep reads
         those off the disk and evaluates exactly the other half."""
         serial_plans, serial_cache = serial
-        wkey = workload_cache_key(wl)
-        cap = float(wl.cluster.node.gpu.hbm_bytes)
+        wtext = _sweep_text(wl)
         simulated = [
-            _candidate_key(wkey, r.candidate, cap)
+            _candidate_key(wtext, r.candidate)
             for r in serial_plans
             if not (r.reason or "").startswith("pruned")
         ]
