@@ -8,16 +8,19 @@ apart.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.costmodel.timing import LayerTimes, PhaseTimes
 
 __all__ = [
     "bubble_time_1f1b",
     "bubble_time_zb1p",
+    "bubble_time_zb_milp",
     "bubble_time_helix",
     "bubble_lower_bound",
+    "adapipe_makespan_floor",
     "makespan_lower_bound",
+    "makespan_lower_bound_fn",
     "recompute_time_lower_bound",
     "activation_elems_table2",
 ]
@@ -59,6 +62,41 @@ def bubble_time_zb1p(layer: LayerTimes, num_layers: int, p: int) -> float:
         + layer.post.bwd_b
         - layer.pre.bwd_w
         - layer.post.bwd_w
+    )
+    return (p - 1) * per_layer * num_layers / p
+
+
+def bubble_time_zb_milp(layer: LayerTimes, num_layers: int, p: int) -> float:
+    """``zb-milp``'s ramp: ``(p-1) (L/p) (t_F + t_BI)``, a proven lower bound.
+
+    Per layer, ``t_F`` is ``layer.fwd``, ``t_BI`` the ``bwd_b`` of pre,
+    attention and post, and ``t_BW`` their ``bwd_w`` (attention has no
+    weights, so only pre and post contribute).  ``zb-milp`` runs the
+    1F1B order on ``L/p`` layers per stage with each BW right after its
+    BI: the only placement :mod:`repro.schedules.zb_milp` ever builds.
+    Follow one path through any execution of it:
+
+    1. The last stage's first F waits for micro batch 0's forward
+       through stages ``0..p-2``: ``(p-1) (L/p) t_F``.
+    2. The last stage has no warm-up, so before it sends BI(m-1)'s
+       input gradient it runs, serially, ``m`` F, ``m`` BI and the
+       ``m-1`` BW placed before BI(m-1):
+       ``(L/p) (m t_F + m t_BI + (m-1) t_BW)``.
+    3. That gradient walks the BI chain through stages ``p-2..0``:
+       ``(p-1) (L/p) t_BI``.
+    4. Stage 0 ends with BW(m-1), right after BI(m-1): ``(L/p) t_BW``,
+       which pays back the BW left out in step 2.
+
+    The path sums to ``m (L/p) (t_F + t_BI + t_BW)`` -- the
+    work-conservation term of :func:`makespan_lower_bound` -- plus this
+    bubble.  Everything else on the path only adds time: the embedding
+    and head passes it crosses, recompute forwards folded into BI,
+    receive waits and transfers.  The term exceeds paper Eq. 3
+    (:func:`bubble_time_zb1p`) by ``(p-1) (L/p) t_BW``: ZB1P's heuristic
+    delays BWs into the ramp, ``zb-milp`` never does.
+    """
+    per_layer = (
+        layer.fwd + layer.pre.bwd_b + layer.attn.bwd_b + layer.post.bwd_b
     )
     return (p - 1) * per_layer * num_layers / p
 
@@ -116,15 +154,18 @@ def bubble_lower_bound(
     - ``1f1b`` / ``gpipe``: the Table 2 warm-up/drain ramp (Eq. 1) --
       both run ``(p-1)`` ramp steps of a full stage forward+backward.
     - ``zb1p``: Eq. 3 (backward-W fills the ramp, ``f + b_I - b_W``).
+    - ``zb-milp``: :func:`bubble_time_zb_milp`, ``(p-1) (L/p) (f +
+      b_I)`` -- each BW runs right after its BI, so none fills the ramp.
     - ``interleaved``: the Eq. 1 ramp shrinks with the virtual-chunk
       count ``v`` (each ramp step advances one chunk of ``L/(p v)``
       layers).
     - ``helix`` (any fold): the Section 4.5 FILO ramp on the *shipped*
       pre+post phases, without the recompute term -- admissible for
       every recompute strategy and both weight-shipping settings.
-    - anything else (``adapipe`` replans partitions, ``zb-milp`` may
-      approach zero bubble): ``0.0``, degrading the bound to pure work
-      conservation.
+    - anything else: ``0.0``, degrading the bound to pure work
+      conservation.  ``adapipe``'s ramp depends on the micro-batch
+      count, so :func:`makespan_lower_bound` adds it as a floor
+      (:func:`adapipe_makespan_floor`) rather than a bubble.
 
     Recompute strategies only ever *add* backward time, so evaluating
     the formulas on the plain (no-recompute) layer times keeps the
@@ -135,6 +176,8 @@ def bubble_lower_bound(
         bub = bubble_time_1f1b(layer, num_layers, p)
     elif schedule == "zb1p":
         bub = bubble_time_zb1p(layer, num_layers, p)
+    elif schedule == "zb-milp":
+        bub = bubble_time_zb_milp(layer, num_layers, p)
     elif schedule == "interleaved":
         chunks = max(1, int(opts.get("num_chunks_per_stage", 2)))
         bub = bubble_time_1f1b(layer, num_layers, p) / chunks
@@ -172,6 +215,88 @@ def recompute_time_lower_bound(layer: LayerTimes, recompute: Any) -> float:
     return 0.0
 
 
+def adapipe_makespan_floor(
+    layer: LayerTimes,
+    num_layers: int,
+    p: int,
+    num_micro_batches: int,
+    recompute_time: float = 0.0,
+) -> float:
+    """``adapipe``'s floor: ``T / (1 - (1 - 1/m)^p)``, ``T = L (t_F + t_B)``.
+
+    ``adapipe`` runs the 1F1B order on a partition and per-stage
+    recompute choices its DP picks at build time.  This floor holds for
+    any 1F1B order on any partition of the ``L`` layers over ``p``
+    stages, so it needs neither.  Let stage ``s`` own ``n_s`` layers,
+    with forward ``F_s = n_s t_F`` and backward ``B_s >= n_s t_B`` per
+    micro batch (recompute only adds to it), and ``a_s = F_s + B_s``.
+    Fix any stage ``k`` and follow one path through an execution:
+
+    1. Stage ``k``'s first F waits for micro batch 0's forward through
+       stages ``0..k-1``: ``sum_{s<k} F_s``.
+    2. Stage ``k`` then runs all ``2m`` of its passes serially; the last
+       is B(m-1), which then sends its input gradient: ``m a_k``.
+    3. That gradient walks the B chain through stages ``k-1..0``:
+       ``sum_{s<k} B_s``.
+
+    So the makespan ``M >= sum_{s<k} a_s + m a_k`` for every ``k``.
+    Weight stage ``k``'s inequality by ``r^(p-1-k)`` with
+    ``r = 1 - 1/m`` and add them up.  Stage ``s`` collects
+    ``m r^(p-1-s)`` from its own inequality and
+    ``sum_{k>s} r^(p-1-k) = m (1 - r^(p-1-s))`` from the later ones:
+    ``m`` in all, the same for every stage.  The weights sum to
+    ``m (1 - r^p)``, hence ``M m (1 - r^p) >= m sum_s a_s >= m T``.
+
+    ``m = 1`` gives ``T`` (one micro batch through every layer and
+    back), ``p = 1`` gives ``m T``, and since ``1 - r^p <= p/m`` the
+    floor never falls below work conservation.  Embedding and head
+    passes, receive waits and transfers only add time.
+    ``recompute_time`` joins ``t_B`` under the same contract as in
+    :func:`makespan_lower_bound`.
+    """
+    total = num_layers * (layer.fwd + layer.bwd + recompute_time)
+    return total / (1.0 - (1.0 - 1.0 / num_micro_batches) ** p)
+
+
+def makespan_lower_bound_fn(
+    schedule: str,
+    layer: LayerTimes,
+    num_layers: int,
+    p: int,
+    options: Mapping[str, Any] | None = None,
+) -> Callable[..., float]:
+    """:func:`makespan_lower_bound` of one configuration, as a function.
+
+    Returns ``bound(num_micro_batches, recompute_time=0.0)``.  The
+    schedule's bubble is evaluated once here, so a caller pricing one
+    (schedule, options) configuration at many micro-batch counts and
+    recompute strategies -- the tuner's pruner,
+    :mod:`repro.tuner.bounds` -- gets exactly the values
+    :func:`makespan_lower_bound` returns at the cost of a few float
+    operations each.
+    """
+    fwd = layer.fwd
+    fwd_bwd = fwd + layer.bwd
+    fwd_bi = fwd + layer.pre.bwd_b + layer.attn.bwd_b + layer.post.bwd_b
+    bubble = bubble_lower_bound(schedule, layer, num_layers, p, options)
+
+    ramp_floor = schedule == "adapipe"
+
+    def bound(num_micro_batches: int, recompute_time: float = 0.0) -> float:
+        work = num_micro_batches * num_layers * (fwd_bwd + recompute_time) / p
+        chain = num_layers * (fwd_bi + recompute_time)
+        # Conditionals, not max(): the pruner calls this per candidate.
+        lower = work + bubble if work + bubble > chain else chain
+        if ramp_floor:
+            floor = adapipe_makespan_floor(
+                layer, num_layers, p, num_micro_batches, recompute_time
+            )
+            lower = floor if floor > lower else lower
+        return lower
+
+    return bound
+
+
 def makespan_lower_bound(
     schedule: str,
     layer: LayerTimes,
@@ -183,7 +308,8 @@ def makespan_lower_bound(
 ) -> float:
     """Admissible lower bound on the simulated iteration makespan.
 
-    ``max(work + bubble, chain)`` of three never-overestimating terms:
+    ``max(work + bubble, chain)`` of three never-overestimating terms,
+    and for ``adapipe`` also its floor:
 
     - **work conservation**: the ``p`` serial compute engines must
       execute ``m x L`` layer forwards+backwards in total, so
@@ -193,11 +319,13 @@ def makespan_lower_bound(
       (:func:`bubble_lower_bound`) exists on top of the steady state;
     - **dependency chain**: one micro batch's forward must traverse all
       ``L`` layers and its backward-B return through them, so
-      ``makespan >= L (t_F + t_BI)`` regardless of ``m`` or placement.
+      ``makespan >= L (t_F + t_BI)`` regardless of ``m`` or placement;
+    - **adapipe floor** (:func:`adapipe_makespan_floor`): a ramp bound
+      for a 1F1B order on any partition, which depends on ``m``.
 
     ``recompute_time`` (per-layer, from
-    :func:`recompute_time_lower_bound`) tightens both the work and the
-    chain term for a known recompute strategy: every layer's backward
+    :func:`recompute_time_lower_bound`) tightens the work, chain and
+    floor terms for a known recompute strategy: every layer's backward
     re-runs that forward time on the same serial engine, per micro batch
     and on the single-micro-batch critical path alike.  The default 0.0
     keeps the bound strategy-free (recompute only adds time).
@@ -208,21 +336,8 @@ def makespan_lower_bound(
     ``tests/analysis/test_bounds.py`` and
     ``tests/schedules/test_invariants.py``.
     """
-    work = (
-        num_micro_batches
-        * num_layers
-        * (layer.fwd + layer.bwd + recompute_time)
-        / p
-    )
-    chain = num_layers * (
-        layer.fwd
-        + layer.pre.bwd_b
-        + layer.attn.bwd_b
-        + layer.post.bwd_b
-        + recompute_time
-    )
-    bubble = bubble_lower_bound(schedule, layer, num_layers, p, options)
-    return max(work + bubble, chain)
+    bound = makespan_lower_bound_fn(schedule, layer, num_layers, p, options)
+    return bound(num_micro_batches, recompute_time)
 
 
 def activation_elems_table2(

@@ -1,21 +1,31 @@
-"""Exact backward-W placement for ZB1P via mixed-integer programming.
+"""Exact backward-W placement for ZB1P: the MILP's closed-form optimum.
 
 The zero bubble paper pairs its heuristic with an ILP that decides, for
 each stage, how many delayed W passes to interleave at each point of the
-steady phase.  We reproduce the essential decision with
-``scipy.optimize.milp``: given a stage's 1F1B-ordered F/BI stream, choose
-after which BI each BW runs so that
+steady phase.  The essential decision is a small MILP: given a stage's
+1F1B-ordered F/BI stream, choose how many BWs ``x_i`` run right after
+BI_i so that
 
-* BW_k runs after BI_k (data dependency),
-* at most ``cap`` micro batches are outstanding (memory parity, Eq. 4),
-* the weighted tail (BWs left after the final BI, which extend the
-  iteration) is minimised -- W passes scheduled earlier fill bubbles for
-  free in the event-driven simulator.
+* BW_k runs after BI_k (dependency: ``cum_i = sum_{j<=i} x_j <= i + 1``),
+* at most ``cap`` micro batches are outstanding (memory parity, Eq. 4):
+  the forwards issued by slot ``i``, ``min(m, warmup + i + 1)``, minus
+  ``cum_i`` stay ``<= cap``,
+* all ``m`` BWs are placed, and the weighted tail -- BWs left late,
+  which extend the iteration -- is minimised with strictly increasing
+  slot costs ``c_i``: W passes scheduled earlier fill bubbles for free.
 
-The search space per stage is tiny (m slots x m passes), so the exact
-solve is instant; the result is an op order consumable by
-:class:`~repro.schedules.layerwise.LayerwiseBuilder` exactly like the
-heuristic's.
+That MILP has a closed-form solution, so no solver runs.  By summation
+by parts the objective is ``c_{m-1} m - sum_i (c_{i+1} - c_i) cum_i``,
+which a placement minimises by maximising every prefix ``cum_i``; the
+dependency bound ``cum_i <= i + 1`` is attained by one BW right after
+each BI, so that placement is the *unique* optimum whenever it is
+feasible.  It is feasible exactly when any placement is: at slot 0 a
+stage has issued ``min(m, warmup + 1)`` forwards and retired at most one
+BW, so every placement needs ``cap >= min(warmup, m - 1)``, and one BW
+per BI leaves ``min(m - i - 1, warmup)`` outstanding at slot ``i``,
+never more than at slot 0.  The default ``cap = p`` always qualifies
+(``warmup <= p - 1``); a tighter ``max_outstanding`` that does not
+raises :class:`~repro.schedules.registry.ScheduleBuildError`.
 
 A finding worth recording: this static "earliest feasible W" optimum is
 *not* always better end-to-end than the greedy heuristic, because the
@@ -24,76 +34,20 @@ can displace a critical-path F/BI, while the heuristic's W-before-RECV
 placement only consumes time the stage would have spent blocked.  The
 zero bubble paper's full ILP models start times explicitly to avoid
 this; we keep this light version as an ablation of that design choice
-(see ``benchmarks``/tests for the measured comparison).
+(see ``benchmarks``/tests for the measured comparison).  Because no BW
+fills the ramp, the tuner prices ``zb-milp`` with its own bubble term,
+:func:`repro.analysis.bubble.bubble_time_zb_milp`.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from repro.schedules.costs import CostProvider
 from repro.schedules.ir import Schedule
 from repro.schedules.layerwise import LayerwiseBuilder, SymbolicOp
 from repro.schedules.one_f_one_b import one_f_one_b_order
-from repro.schedules.registry import register_schedule
+from repro.schedules.registry import ScheduleBuildError, register_schedule
 
 __all__ = ["zb_milp_order", "build_zb_milp"]
-
-
-@lru_cache(maxsize=None)
-def _placement_milp(m: int, cap: int, warmup: int) -> tuple[int, ...]:
-    """How many BWs to emit after each of the ``m`` BIs (exact solve).
-
-    Variables ``x[i]`` = number of BW passes emitted right after BI_i.
-    Constraints: cumulative BW <= cumulative BI (dependency), outstanding
-    forwards minus completed BWs <= cap (memory), all m scheduled.
-    Objective: schedule W mass as early as feasible (weights grow with
-    the slot index), which leaves the shortest mandatory tail.
-
-    Memoized, with a closed-form fast path: the strictly increasing slot
-    costs make the objective (by summation by parts)
-    ``c_{m-1} m - sum_i (c_{i+1} - c_i) cum_i``, so the *unique* optimum
-    maximises every cumulative prefix.  The dependency bound
-    ``cum_i <= i + 1`` is attained by one BW after each BI, which is
-    memory-feasible iff ``cap >= warmup`` -- always true for the default
-    ``cap = p`` (``warmup <= p - 1``).  The solver provably returns this
-    placement, so the fast path is byte-identical; the MILP only runs
-    for an explicit ``max_outstanding`` tighter than the warm-up depth.
-    """
-    if cap >= warmup:
-        return (1,) * m
-    # numpy/scipy are needed only on this branch (explicit
-    # max_outstanding tighter than the warm-up depth); deferring them
-    # keeps the schedules package importable on a numpy-free install.
-    try:
-        import numpy as np
-        from scipy.optimize import LinearConstraint, milp
-    except ImportError:
-        raise ImportError(
-            "zb-milp with max_outstanding < warm-up depth needs the exact "
-            "MILP solve, which requires numpy + scipy"
-        ) from None
-    # Cost favours early slots; strictly increasing to break ties.
-    c = np.arange(1, m + 1, dtype=float)
-    lower_tri = np.tril(np.ones((m, m)))
-    # Dependency: sum_{j<=i} x_j <= i + 1  (only BI_0..BI_i have run).
-    dep = LinearConstraint(lower_tri, ub=np.arange(1, m + 1, dtype=float))
-    # Memory: forwards issued by slot i is min(m, warmup + i + 1);
-    # outstanding = forwards - cumulative BW <= cap, i.e.
-    # -sum_{j<=i} x_j <= cap - forwards_i.
-    b_mem = np.array([float(cap - min(m, warmup + i + 1)) for i in range(m)])
-    mem = LinearConstraint(-lower_tri, ub=b_mem)
-    total = LinearConstraint(np.ones((1, m)), lb=[float(m)], ub=[float(m)])
-    constraints = [dep, mem, total]
-    res = milp(
-        c=c,
-        integrality=np.ones(m),
-        bounds=(0, m),
-        constraints=constraints,
-    )
-    if not res.success:  # pragma: no cover - relaxed fallback
-        raise RuntimeError(f"ZB MILP infeasible: {res.message}")
-    return tuple(int(round(v)) for v in res.x)
 
 
 def zb_milp_order(
@@ -102,27 +56,29 @@ def zb_milp_order(
     stage: int,
     max_outstanding: int | None = None,
 ) -> list[SymbolicOp]:
-    """ZB1P op order with MILP-optimal BW placement for one stage."""
+    """ZB1P op order with the MILP-optimal BW placement for one stage.
+
+    The 1F1B order with each B split into BI and its BW right after it
+    (the module docstring proves this is the MILP's unique optimum).
+    Raises :class:`ScheduleBuildError` when ``max_outstanding`` admits
+    no placement at all.
+    """
     p, m = num_stages, num_micro_batches
     cap = p if max_outstanding is None else max_outstanding
     warmup = min(p - 1 - stage, m)
-    base = one_f_one_b_order(p, m, stage)
-    placement = _placement_milp(m, cap, warmup)
+    if cap < min(warmup, m - 1):
+        raise ScheduleBuildError(
+            "zb-milp",
+            f"max_outstanding={cap} admits no BW placement on stage {stage}: "
+            f"it needs at least {min(warmup, m - 1)}",
+        )
     order: list[SymbolicOp] = []
-    bi_seen = 0
-    bw = 0
-    for op, mb in base:
+    for op, mb in one_f_one_b_order(p, m, stage):
         if op == "F":
             order.append(("F", mb))
-            continue
-        order.append(("BI", mb))
-        for _ in range(placement[bi_seen]):
-            order.append(("BW", bw))
-            bw += 1
-        bi_seen += 1
-    while bw < m:  # pragma: no cover - MILP schedules all m
-        order.append(("BW", bw))
-        bw += 1
+        else:
+            order.append(("BI", mb))
+            order.append(("BW", mb))
     return order
 
 

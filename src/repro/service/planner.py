@@ -14,10 +14,10 @@ Three properties make it a service rather than a loop around
 - **Request dedup.**  Identical in-flight plan requests coalesce onto
   one evaluation: the first arrival (the *leader*) runs the sweep, every
   concurrent identical request waits on the leader's event and shares
-  its result.  The dedup key is the workload cache key
-  (:func:`repro.schedules.registry.workload_cache_key`) plus the
-  sweep-shaping parameters -- response shaping (``top``) is per-request
-  and never splits the key.  N identical concurrent requests therefore
+  its result.  The dedup key is the query's normalized workload fields,
+  with the micro-batch budget resolved, plus the sweep-shaping
+  parameters -- response shaping (``top``) is per-request and never
+  splits the key.  N identical concurrent requests therefore
   trigger exactly one cold evaluation; arrivals after the leader
   finishes are served warm from the cost cache.
 - **Serialized evaluation.**  One sweep runs at a time
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.model.config import MODEL_PRESETS
-from repro.schedules.registry import available_schedules, workload_cache_key
+from repro.schedules.registry import available_schedules
 from repro.tuner.autotune import PlanResult, autotune
 from repro.tuner.cache import CostCache
 from repro.tuner.grid import tune_grid
@@ -191,8 +191,21 @@ class PlanQuery:
         return float(workload.cluster.node.gpu.hbm_bytes)
 
     def dedup_key(self, workload: Workload) -> tuple:
+        """The evaluation this query asks for, from its normalized fields.
+
+        ``workload`` is :meth:`workload`'s result; it supplies the
+        resolved micro-batch budget, so an omitted budget and an
+        explicit ``2p`` coalesce while different budgets never do.  The
+        preset names identify model and cluster, so the plan computes
+        ``workload_cache_key`` only once, inside ``autotune``.
+        """
         return (
-            workload_cache_key(workload),
+            self.model,
+            self.gpu,
+            self.p,
+            self.seq_len,
+            self.micro_batch,
+            workload.num_micro_batches,
             self.memory_cap_bytes(workload),
             self.schedules,
             self.options,

@@ -7,10 +7,14 @@ prices a candidate list with plain Python floats: the workload's layer
 times come from one scalar :class:`~repro.costmodel.timing.TimingModel`
 evaluation (every candidate shares the workload's (b, s) shape) and
 each candidate's makespan lower bound from
-:func:`repro.analysis.bubble.makespan_lower_bound` (Table 2 warm-up
-ramps + work conservation + the single-micro-batch dependency chain),
-evaluated once per unique (schedule, options) configuration and reused
-across the micro-batch axis.
+:func:`repro.analysis.bubble.makespan_lower_bound_fn`, the function
+behind :func:`~repro.analysis.bubble.makespan_lower_bound`: work
+conservation, the single-micro-batch dependency chain and each
+schedule's proven ramp term -- the Table 2 ramps for ``1f1b``,
+``gpipe``, ``interleaved``, ``zb1p`` and ``helix``, the BW-after-BI
+ramp for ``zb-milp`` and the any-partition 1F1B floor for ``adapipe``.
+It is built once per unique (schedule, options) configuration and
+evaluated per (micro-batch count, recompute strategy).
 
 Bounds are *admissible*: ``upper_bound >= simulated tokens/s`` for every
 candidate, so best-first pruning in :func:`repro.tuner.autotune` never
@@ -20,9 +24,9 @@ discards the optimum (see ``tests/analysis/test_bounds.py`` and
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
-from repro.analysis.bubble import bubble_lower_bound, recompute_time_lower_bound
+from repro.analysis.bubble import makespan_lower_bound_fn, recompute_time_lower_bound
 from repro.costmodel.timing import TimingModel
 from repro.schedules.registry import get_schedule
 from repro.workloads import Workload
@@ -50,40 +54,30 @@ def throughput_upper_bounds(
     b = int(workload.micro_batch)
     s = int(workload.seq_len)
     layer = TimingModel(gpu, model, b, s, sp=sp).layer_times()
-
-    work_per_mb = num_layers * (layer.fwd + layer.bwd) / p
-    chain = num_layers * (
-        layer.fwd + layer.pre.bwd_b + layer.attn.bwd_b + layer.post.bwd_b
-    )
     tokens_per_mb = float(b) * s
 
-    # Bubble terms depend only on (schedule, options) and recompute
+    # Bound functions depend only on (schedule, options) and recompute
     # terms only on the strategy; evaluate each unique configuration
     # once.
-    bubble_memo: dict[tuple[str, tuple], float] = {}
+    bound_memo: dict[tuple[str, tuple], Callable[..., float]] = {}
     rc_memo: dict[Any, float] = {}
     out = []
     for cand in candidates:
-        m = float(cand.num_micro_batches)
         key = (cand.schedule, cand.options)
-        bub = bubble_memo.get(key)
-        if bub is None:
+        bound = bound_memo.get(key)
+        if bound is None:
             # Registered defaults fill the option names the canonical
             # candidate tuple dropped.
             opts = {**get_schedule(cand.schedule).options, **dict(cand.options)}
-            bub = bubble_lower_bound(cand.schedule, layer, num_layers, p, opts)
-            bubble_memo[key] = bub
+            bound = bound_memo[key] = makespan_lower_bound_fn(
+                cand.schedule, layer, num_layers, p, opts
+            )
         rc = rc_memo.get(cand.recompute)
         if rc is None:
             rc = rc_memo[cand.recompute] = recompute_time_lower_bound(
                 layer, cand.recompute
             )
-        # Every layer's backward re-runs the strategy's recompute forward
-        # on the same serial engine -- per micro batch (work term) and on
-        # the single-micro-batch critical path (chain term) alike.
-        lower = max(
-            m * (work_per_mb + num_layers * rc / p) + bub,
-            chain + num_layers * rc,
-        )
+        m = cand.num_micro_batches
+        lower = bound(m, rc)
         out.append(m * tokens_per_mb / lower if lower > 0.0 else float("inf"))
     return out

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import abstract_cluster
 from repro.schedules.costs import UnitCosts
+from repro.schedules.registry import ScheduleBuildError, build_schedule
 from repro.schedules.zb1p import build_zb1p
 from repro.schedules.zb_milp import build_zb_milp, zb_milp_order
 from repro.sim import simulate
@@ -42,6 +43,34 @@ class TestZbMilpOrder:
             outstanding += op == "F"
             outstanding -= op == "BW"
             assert outstanding <= 2
+
+    def test_each_bw_right_after_its_bi(self):
+        """The MILP's unique optimum, at every cap that admits one."""
+        for max_outstanding in (None, 4, 3):
+            for stage in range(4):
+                order = zb_milp_order(4, 8, stage, max_outstanding)
+                for i, (op, mb) in enumerate(order):
+                    if op == "BI":
+                        assert order[i + 1] == ("BW", mb)
+
+    def test_cap_below_any_placement_raises(self):
+        # Stage 0 of p=4, m=8 warms up with 3 forwards; at its first BI
+        # it has issued 4 and can have retired at most one BW.
+        with pytest.raises(ScheduleBuildError, match="max_outstanding=2"):
+            zb_milp_order(4, 8, 0, max_outstanding=2)
+        with pytest.raises(ScheduleBuildError, match="zb-milp"):
+            build_schedule("zb-milp", (4, 8), UnitCosts(num_layers=8),
+                           max_outstanding=0)
+
+    def test_cap_of_m_minus_one_builds_below_the_warmup(self):
+        """p=4, m=2: stage 0 warms up with both forwards, yet one
+        outstanding micro batch suffices once BW(0) follows BI(0)."""
+        assert zb_milp_order(4, 2, 0, max_outstanding=1) == [
+            ("F", 0), ("F", 1), ("BI", 0), ("BW", 0), ("BI", 1), ("BW", 1),
+        ]
+        sched = build_schedule("zb-milp", (4, 2), UnitCosts(num_layers=8),
+                               max_outstanding=1)
+        assert sched.num_stages == 4
 
 
 class TestZbMilpSchedule:

@@ -112,6 +112,15 @@ class TestParsePlanRequest:
         wl = a.workload()
         assert a.dedup_key(wl) == b.dedup_key(wl)
 
+    def test_dedup_key_follows_the_resolved_budget(self):
+        def key(body):
+            query = parse_plan_request(body)
+            return query.dedup_key(query.workload())
+
+        # An omitted budget resolves to 2p, so it coalesces with 2p.
+        assert key(_BODY) == key(dict(_BODY, num_micro_batches=4))
+        assert key(_BODY) != key(dict(_BODY, num_micro_batches=8))
+
 
 class TestPlan:
     def test_service_takes_no_pool_size(self):
@@ -176,6 +185,45 @@ class TestPlan:
         assert all(r["plans"] == results[0]["plans"] for r in results)
         t = service.telemetry.as_dict()
         assert t["plans"] == n and t["plans_cold"] == 1
+
+    def test_a_different_budget_is_not_coalesced(self):
+        """A request arriving while another budget's plan of the same
+        workload is in flight gets its own evaluation and its own rows."""
+        service = PlannerService()
+        evaluate = service._evaluate
+        entered, release = threading.Event(), threading.Event()
+
+        def gated(query, workload):
+            if query.num_micro_batches == 8:  # the leader
+                entered.set()
+                release.wait(10)
+            return evaluate(query, workload)
+
+        service._evaluate = gated
+        answers = {}
+
+        def request(name, body):
+            answers[name] = service.plan(body)
+
+        leader = threading.Thread(
+            target=request, args=("leader", dict(_BODY, num_micro_batches=8))
+        )
+        follower = threading.Thread(target=request, args=("follower", _BODY))
+        leader.start()
+        assert entered.wait(10)
+        follower.start()
+        follower.join(10)  # a coalesced follower waits for the leader
+        release.set()
+        leader.join(30)
+        follower.join(30)
+        assert not leader.is_alive() and not follower.is_alive()
+
+        assert answers["follower"]["outcome"] != "coalesced"
+        direct = autotune(
+            _workload(), schedules=["1f1b"], options=False, cache=CostCache()
+        )
+        assert answers["follower"]["plans"] == [plan_payload(r) for r in direct]
+        assert answers["leader"]["plan_count"] > answers["follower"]["plan_count"]
 
     def test_leader_failure_propagates_to_followers(self):
         service = PlannerService()

@@ -1,8 +1,8 @@
 """The tuner must work on a numpy-free install.
 
 ``throughput_upper_bounds`` prices candidates through the scalar
-:class:`~repro.costmodel.timing.TimingModel` alone; ``zb-milp`` only
-reaches for numpy/scipy past its closed-form placement fast path.  These
+:class:`~repro.costmodel.timing.TimingModel` alone, and ``zb-milp``
+builds the closed form of its placement MILP without a solver.  These
 tests pin both behaviours two ways: in-process, by hiding numpy from
 ``import`` while pricing bounds, and end-to-end, by running ``repro
 tune --smoke``, ``repro serve --help``, a full ``autotune`` and
@@ -129,7 +129,7 @@ class TestNumpyFreeEndToEnd:
         """One subprocess with numpy *and* scipy blocked at the meta-path:
         ``tune --smoke`` and ``serve --help`` through the CLI, a sweep
         over every registered schedule (zb-milp included -- its
-        closed-form placement path must not touch scipy) plus a lint run.
+        closed-form placement must not touch scipy) plus a lint run.
         """
         proc = subprocess.run(
             [sys.executable, "-c", _SUBPROCESS_SCRIPT],

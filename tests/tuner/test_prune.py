@@ -103,6 +103,19 @@ class TestPrunedVsExhaustive:
             assert (cache.stats.pruned > 0) == prune
 
 
+@pytest.mark.parametrize("p", (4, 8))
+@pytest.mark.parametrize("gpu", ("H20", "A800"))
+@pytest.mark.parametrize("model", ("3B", "7B", "13B"))
+def test_best_plan_identical_across_models_gpus_and_depths(model, gpu, p):
+    """Every schedule's ramp term leaves the winner alone: the best row
+    is byte-identical with and without pruning at 64k."""
+    wl = Workload.paper(model, gpu, p, 65536)
+    full = autotune(wl, cache=CostCache(), prune=False)
+    cut = autotune(wl, cache=CostCache())
+    assert full[0].feasible
+    assert cut[0] == full[0]
+
+
 class TestDeterminism:
     def test_warm_resweep_replays_identical_decisions(self, wl):
         shared = CostCache()
