@@ -14,10 +14,12 @@ Drives the full serving story in one process tree:
    median round trip (a response that waits on the client's delayed
    ACK takes ~40 ms; a warm plan takes a few).
 5. ``GET /v1/stats`` and check the telemetry/cache shape.
-6. Post a body to an unknown path on a kept-alive connection: the 404
+6. ``POST /v1/sweep`` a grid with no feasible point (a micro batch above
+   the token cap): a 400 naming the cap, and no sweep started.
+7. Post a body to an unknown path on a kept-alive connection: the 404
    leaves the body unread, so the server closes the connection and must
    say so (``will_close``), or the client's next request fails.
-7. Fire a short ``scripts/replay_traffic.py`` burst and let its
+8. Fire a short ``scripts/replay_traffic.py`` burst and let its
    consistency gates (all requests answered, outcome counters add up,
    bounded cold evaluations) finish the job.
 
@@ -35,6 +37,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import urllib.error
 import urllib.parse
 import urllib.request
 
@@ -67,6 +70,14 @@ def _request(base: str, path: str, payload: dict | None = None):
     )
     with urllib.request.urlopen(req, timeout=300) as resp:
         return json.loads(resp.read())
+
+
+def _refusal(base: str, path: str, payload: dict) -> tuple[int, dict]:
+    """POST ``payload`` expecting an error: its status and JSON body."""
+    try:
+        return 200, _request(base, path, payload)
+    except urllib.error.HTTPError as err:
+        return err.code, json.loads(err.read())
 
 
 def _check(condition: bool, message: str) -> None:
@@ -215,6 +226,18 @@ def main() -> int:
                 stats["cache"]["backend"] == "sqlite"
                 and stats["cache"]["path"] == store_path,
                 "stats reports the sqlite store",
+            )
+
+            # After the stats check: a refused request counts as an error.
+            status, refused = _refusal(base, "/v1/sweep", {"micro_batch": 10**30})
+            _check(
+                status == 400
+                and "above the maximum of 16777216 tokens" in refused.get("error", ""),
+                "a sweep with no feasible point is a 400 naming the token cap",
+            )
+            _check(
+                _request(base, "/v1/sweeps")["sweeps"] == [],
+                "the refused sweep was not started",
             )
 
             _check(

@@ -118,7 +118,9 @@ Commands
         python -m repro experiment verify --smoke --update
 
 Sequence lengths accept a ``k`` suffix (``64k`` == 65536); token
-budgets accept ``k``/``M``/``G`` (``1M`` == 1048576 tokens).  Schedule
+budgets accept ``k``/``M``/``G`` (``1M`` == 1048576 tokens).  A flag
+that names a request field follows that field's rule in
+:mod:`repro.query`, as the service's request bodies do.  Schedule
 options are passed as repeated ``-o name=value`` flags with Python
 literal values (``-o fold=1``, ``-o include_head=False``).
 """
@@ -151,16 +153,15 @@ from repro.schedules.registry import (
     available_schedules,
     get_schedule,
 )
-from repro.tuner import CostCache, autotune, tune_grid
-from repro.workloads import (
-    GPU_CLUSTERS,
-    Workload,
-    WorkloadGrid,
-    parse_int_list,
-    parse_seq_len,
-    parse_seq_lens,
-    parse_token_budget,
+from repro.query import (
+    TUNE_GRID_FIELDS,
+    parse_names,
+    parse_plan_request,
+    parse_sweep_request,
+    parse_text,
 )
+from repro.tuner import CostCache, autotune, tune_grid
+from repro.workloads import GPU_CLUSTERS, Workload
 
 if TYPE_CHECKING:
     from repro.passkit import PassRegistry
@@ -173,52 +174,27 @@ _GIB = float(1 << 30)
 # -- argument helpers --------------------------------------------------------
 
 
-def _argtype(parse):
-    """Wrap a ``repro.workloads`` parser into an argparse type."""
+def _argtype(field: str):
+    """An argparse type: request field ``field`` read from a flag's text
+    under the rule the service applies to it (a refusal exits 2)."""
 
     def typed(text: str):
         try:
-            return parse(text)
+            return parse_text(field, text)
         except ValueError as err:
             raise argparse.ArgumentTypeError(str(err)) from None
 
-    typed.__name__ = parse.__name__
     return typed
 
 
-_seq_len = _argtype(parse_seq_len)
-_seq_lens = _argtype(parse_seq_lens)
-_int_list = _argtype(parse_int_list)
-_token_budget = _argtype(parse_token_budget)
+def _request(**fields: Any) -> dict[str, Any]:
+    """Flags as request fields; a flag not given takes the field's default."""
+    return {name: value for name, value in fields.items() if value is not None}
 
 
-def _checked(convert, ok, what: str):
-    """An argparse type: ``convert`` the text and require ``ok`` of it.
-
-    The counts and the memory cap follow the rules ``POST /v1/plan``
-    applies to the same fields, so ``tune`` refuses what the service
-    refuses instead of sweeping a workload that cannot run.
-    """
-
-    def typed(text: str):
-        try:
-            value = convert(text)
-        except ValueError:
-            value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
-        return value
-
-    return typed
-
-
-_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
-# The cap in bytes (cap * 2**30) must be a finite float too.
-_memory_cap_gib = _checked(
-    float,
-    lambda v: 0 <= v <= sys.float_info.max / _GIB,
-    "a number >= 0 whose value in bytes is finite",
-)
+def _names(text: str | None, name: str) -> tuple[str, ...] | None:
+    """A ``--schedules`` or ``--passes`` list, or None when not given."""
+    return None if text is None else parse_names(text, name)
 
 
 def _option(text: str) -> tuple[str, Any]:
@@ -286,7 +262,7 @@ def _add_workload_args(parser: argparse.ArgumentParser, grid: bool = False) -> N
             "-p",
             "--pipeline-size",
             "--pipeline-sizes",
-            type=_int_list,
+            type=_argtype("pipeline_sizes"),
             default=None,
             metavar="P[,P...]",
             help="pipeline size(s); several turn the sweep into a "
@@ -296,7 +272,7 @@ def _add_workload_args(parser: argparse.ArgumentParser, grid: bool = False) -> N
             "--seq-len",
             "--seq-lens",
             dest="seq_len",
-            type=_seq_lens,
+            type=_argtype("seq_lens"),
             default=None,
             metavar="S[,S...]",
             help="sequence length(s), k suffix ok; several turn the "
@@ -304,7 +280,7 @@ def _add_workload_args(parser: argparse.ArgumentParser, grid: bool = False) -> N
         )
         g.add_argument(
             "--budget-tokens",
-            type=_token_budget,
+            type=_argtype("budget_tokens"),
             default=None,
             metavar="N",
             help="fixed tokens per iteration (k/M/G suffix ok); each grid "
@@ -315,21 +291,21 @@ def _add_workload_args(parser: argparse.ArgumentParser, grid: bool = False) -> N
         g.add_argument(
             "-p",
             "--pipeline-size",
-            type=_positive_int,
+            type=_argtype("p"),
             default=None,
             metavar="P",
             help="pipeline stages == nodes (default: 8; 4 with --smoke)",
         )
         g.add_argument(
             "--seq-len",
-            type=_seq_len,
+            type=_argtype("seq_len"),
             default=None,
             metavar="S",
             help="sequence length, k suffix ok (default: 64k; 32k with --smoke)",
         )
     g.add_argument(
         "--micro-batch",
-        type=_positive_int,
+        type=_argtype("micro_batch"),
         default=1,
         metavar="B",
         help="micro-batch size (default: %(default)s)",
@@ -337,7 +313,7 @@ def _add_workload_args(parser: argparse.ArgumentParser, grid: bool = False) -> N
     g.add_argument(
         "-m",
         "--num-micro-batches",
-        type=_positive_int,
+        type=_argtype("num_micro_batches"),
         default=None,
         metavar="M",
         help="micro-batch budget per iteration (default: 2 x pipeline size"
@@ -345,17 +321,17 @@ def _add_workload_args(parser: argparse.ArgumentParser, grid: bool = False) -> N
     )
 
 
-def _workload(args: argparse.Namespace, smoke: bool = False) -> Workload:
-    p = args.pipeline_size if args.pipeline_size is not None else (4 if smoke else 8)
-    seq = args.seq_len if args.seq_len is not None else (32768 if smoke else 65536)
-    return Workload.paper(
-        args.model,
-        args.gpu,
-        p,
-        seq,
-        micro_batch=args.micro_batch,
-        num_micro_batches=args.num_micro_batches,
-    )
+def _workload(args: argparse.Namespace) -> Workload:
+    return parse_plan_request(
+        _request(
+            model=args.model,
+            gpu=args.gpu,
+            p=args.pipeline_size,
+            seq_len=args.seq_len,
+            micro_batch=args.micro_batch,
+            num_micro_batches=args.num_micro_batches,
+        )
+    ).workload()
 
 
 def _describe_workload(wl: Workload) -> str:
@@ -538,13 +514,6 @@ def _list_passes(registry: PassRegistry) -> int:
     return 0
 
 
-def _pass_names(args: argparse.Namespace) -> list[str] | None:
-    """The ``--passes`` selection, or ``None`` for every registered pass."""
-    if not args.passes:
-        return None
-    return [s.strip() for s in args.passes.split(",") if s.strip()]
-
-
 def _emit_report(args: argparse.Namespace, text: str, what: str) -> None:
     """Print a lint report and, with ``--out``, also write it to a file
     (a JSON report then goes to the file only)."""
@@ -567,17 +536,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.list_passes:
         return _list_passes(SCHEDULE_PASSES)
 
-    schedules = None
-    if args.schedules:
-        schedules = [s.strip() for s in args.schedules.split(",") if s.strip()]
     report = lint_schedules(
-        schedules=schedules,
+        schedules=_names(args.schedules, "schedules"),
         pp_sizes=args.pipeline_size or (2, 4),
         num_micro_batches=args.num_micro_batches,
         model=args.model,
         gpu=args.gpu,
         seq_len=args.seq_len if args.seq_len is not None else 8192,
-        passes=_pass_names(args),
+        passes=_names(args.passes, "passes"),
         strict=args.strict,
     )
     text = (
@@ -597,7 +563,7 @@ def _cmd_lint_code(args: argparse.Namespace) -> int:
     if args.list_passes:
         return _list_passes(CODE_PASSES)
 
-    report, _model = lint_code(args.paths or None, passes=_pass_names(args))
+    report, _model = lint_code(args.paths or None, passes=_names(args.passes, "passes"))
     report.strict = args.strict
     if args.json:
         payload = report.to_json_dict()
@@ -610,76 +576,51 @@ def _cmd_lint_code(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    pp_sizes = (
-        args.pipeline_size
-        if args.pipeline_size is not None
-        else ((4,) if args.smoke else (8,))
-    )
-    seq_lens = (
-        args.seq_len
-        if args.seq_len is not None
-        else ((32768,) if args.smoke else (65536,))
-    )
+    pp_sizes, seq_lens, schedules = args.pipeline_size, args.seq_len, args.schedules
+    if args.smoke:
+        pp_sizes, seq_lens = pp_sizes or (4,), seq_lens or (32768,)
+        schedules = ("1f1b", "helix") if schedules is None else schedules
     grid_mode = (
-        args.budget_tokens is not None or len(pp_sizes) > 1 or len(seq_lens) > 1
+        args.budget_tokens is not None
+        or len(pp_sizes or ()) > 1
+        or len(seq_lens or ()) > 1
     )
-
-    schedules: Sequence[str] | None = None
-    if args.schedules:
-        schedules = [s.strip() for s in args.schedules.split(",") if s.strip()]
-    elif args.smoke:
-        schedules = ["1f1b", "helix"]
-
-    kwargs: dict[str, Any] = {
-        "options": not (args.no_options or args.smoke),
-        "prune": not args.no_prune,
-    }
-    cap = (
-        args.memory_cap_gib * _GIB
-        if args.memory_cap_gib is not None  # 0 is a real (tiny) cap
-        else None
+    if grid_mode:
+        shape = {"pipeline_sizes": pp_sizes, "seq_lens": seq_lens}
+    else:
+        shape = {"p": pp_sizes and pp_sizes[0], "seq_len": seq_lens and seq_lens[0]}
+    request = _request(
+        model=args.model,
+        gpu=args.gpu,
+        micro_batch=args.micro_batch,
+        num_micro_batches=args.num_micro_batches,
+        budget_tokens=args.budget_tokens,
+        schedules=schedules,
+        memory_cap_gib=args.memory_cap_gib,
+        options=not (args.no_options or args.smoke),
+        prune=not args.no_prune,
+        **shape,
     )
 
     # Refuse a bad request before the store is opened: opening creates
     # a missing store, which a refused command must not leave behind.
-    for name in schedules or ():
-        get_schedule(name)
     if grid_mode:
-        if args.num_micro_batches is not None:
-            print(
-                "error: -m/--num-micro-batches is incompatible with a "
-                "workload grid (the token budget sets the count per point)",
-                file=sys.stderr,
-            )
-            return 1
-        grid = WorkloadGrid(
-            model=args.model,
-            gpu=args.gpu,
-            seq_lens=tuple(seq_lens),
-            pipeline_sizes=tuple(pp_sizes),
-            micro_batch=args.micro_batch,
-            budget_tokens=args.budget_tokens,
-        )
+        sweep = parse_sweep_request(request, TUNE_GRID_FIELDS)
     else:
-        wl = Workload.paper(
-            args.model,
-            args.gpu,
-            pp_sizes[0],
-            seq_lens[0],
-            micro_batch=args.micro_batch,
-            num_micro_batches=args.num_micro_batches,
-        )
+        query = parse_plan_request(request)
+        wl = query.workload()
     cache = _load_cache(args.cache)
 
     if grid_mode:
-        print(f"workload grid: {grid.label}")
+        print(f"workload grid: {sweep.grid.label}")
         t0 = time.perf_counter()
         plans = tune_grid(
-            grid,
-            cap,
-            schedules=schedules,
+            sweep.grid,
+            sweep.memory_cap_bytes(),
+            schedules=sweep.schedules,
+            options=sweep.options,
             cache=cache,
-            **kwargs,
+            prune=sweep.prune,
         )
         elapsed = time.perf_counter() - t0
         found = _print_plan_report(
@@ -693,7 +634,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
                 f"peak {best.plan.peak_memory_bytes / _GIB:.1f} GiB"
             ),
             none_message="no feasible plan across the workload grid",
-            sweep_summary=f"swept {len(plans)} candidates over {len(grid)} "
+            sweep_summary=f"swept {len(plans)} candidates over {len(sweep.grid)} "
             f"workload points in {elapsed:.2f} s",
         )
     else:
@@ -701,10 +642,11 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         plans = autotune(
             wl,
-            cap,
-            schedules=schedules,
+            query.memory_cap_bytes(wl),
+            schedules=query.schedules,
+            options=query.options,
             cache=cache,
-            **kwargs,
+            prune=query.prune,
         )
         elapsed = time.perf_counter() - t0
         found = _print_plan_report(
@@ -970,7 +912,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_desc.add_argument(
         "-p",
         "--pipeline-size",
-        type=_positive_int,
+        type=_argtype("p"),
         default=8,
         metavar="P",
         help="pipeline size to resolve grids/divisors against (default: 8)",
@@ -1014,7 +956,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "-p",
         "--pipeline-size",
         "--pipeline-sizes",
-        type=_int_list,
+        type=_argtype("pipeline_sizes"),
         default=None,
         metavar="P[,P...]",
         help="pipeline size(s) to lint at (default: 2,4)",
@@ -1022,7 +964,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "-m",
         "--num-micro-batches",
-        type=_positive_int,
+        type=_argtype("num_micro_batches"),
         default=None,
         metavar="M",
         help="micro-batch count (default: 2p rounded onto each "
@@ -1042,7 +984,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument(
         "--seq-len",
-        type=_seq_len,
+        type=_argtype("seq_len"),
         default=None,
         metavar="S",
         help="sequence length, k suffix ok (default: 8k)",
@@ -1090,14 +1032,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_tune.add_argument(
         "--memory-cap-gib",
-        type=_memory_cap_gib,
+        type=_argtype("memory_cap_gib"),
         default=None,
         metavar="G",
         help="per-GPU memory cap in GiB (default: the GPU's HBM size)",
     )
     p_tune.add_argument(
         "--top",
-        type=_positive_int,
+        type=_argtype("top"),
         default=None,
         metavar="K",
         help="show only the first K rows of the ranked table",

@@ -23,21 +23,14 @@ The service adds no dependencies: transport is
 """
 
 from repro.service.api import PlannerAPIHandler, PlannerServer, create_server
-from repro.service.planner import (
-    PlannerService,
-    PlanQuery,
-    parse_plan_request,
-    plan_payload,
-)
+from repro.service.planner import PlannerService, plan_payload
 from repro.service.telemetry import ServiceTelemetry
 
 __all__ = [
     "PlannerAPIHandler",
     "PlannerServer",
     "PlannerService",
-    "PlanQuery",
     "ServiceTelemetry",
     "create_server",
-    "parse_plan_request",
     "plan_payload",
 ]

@@ -1,4 +1,4 @@
-"""Planner core of the service: request parsing, dedup, background sweeps.
+"""Planner core of the service: dedup, serialized evaluation, background sweeps.
 
 :class:`PlannerService` answers "best schedule for (model, gpu, p,
 seq_len, token budget)" from a warm shared :class:`~repro.tuner.cache.
@@ -6,7 +6,9 @@ CostCache` -- the serving-side counterpart of the offline schedule
 search.  It is transport-agnostic: the HTTP layer
 (:mod:`repro.service.api`) translates requests to the three entry
 points :meth:`~PlannerService.plan`, :meth:`~PlannerService.start_sweep`
-and :meth:`~PlannerService.stats`, and tests drive them directly.
+and :meth:`~PlannerService.stats`, and tests drive them directly.  A
+request body is parsed by :mod:`repro.query`, as ``repro tune``'s flags
+are.
 
 Three properties make it a service rather than a loop around
 :func:`~repro.tuner.autotune`:
@@ -40,233 +42,20 @@ compared byte-for-byte against a direct :func:`autotune` run.
 
 from __future__ import annotations
 
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.model.config import MODEL_PRESETS
-from repro.schedules.registry import available_schedules
+from repro.query import PlanQuery, SweepQuery, parse_plan_request, parse_sweep_request
 from repro.tuner.autotune import PlanResult, autotune
 from repro.tuner.cache import CostCache
 from repro.tuner.grid import tune_grid
 from repro.tuner.telemetry import SweepTelemetry
 from repro.service.telemetry import ServiceTelemetry
-from repro.workloads import (
-    GPU_CLUSTERS,
-    Workload,
-    WorkloadGrid,
-    parse_seq_len,
-    parse_token_budget,
-)
+from repro.workloads import Workload
 
-__all__ = ["PlanQuery", "PlannerService", "parse_plan_request", "plan_payload"]
-
-_GIB = float(1 << 30)
-
-#: Fields a ``POST /v1/plan`` body may carry.
-_PLAN_FIELDS = frozenset(
-    {
-        "model",
-        "gpu",
-        "p",
-        "seq_len",
-        "micro_batch",
-        "num_micro_batches",
-        "schedules",
-        "memory_cap_gib",
-        "options",
-        "prune",
-        "top",
-    }
-)
-
-#: Fields a ``POST /v1/sweep`` body may carry.
-_SWEEP_FIELDS = frozenset(
-    {
-        "model",
-        "gpu",
-        "seq_lens",
-        "pipeline_sizes",
-        "micro_batch",
-        "budget_tokens",
-        "schedules",
-        "options",
-    }
-)
-
-
-def _is_positive_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value > 0
-
-
-def _parse_int(payload: Mapping[str, Any], name: str, default: int) -> int:
-    value = payload.get(name, default)
-    if not _is_positive_int(value):
-        raise ValueError(f"{name!r} must be a positive integer, got {value!r}")
-    return value
-
-
-def _parse_seq(value: Any, name: str = "seq_len") -> int:
-    """A sequence length given as an int or a k-suffixed string."""
-    if isinstance(value, str):
-        return parse_seq_len(value)
-    if _is_positive_int(value):
-        return value
-    raise ValueError(
-        f"{name!r} must be a positive integer or a k-suffixed string "
-        f"(e.g. '64k'), got {value!r}"
-    )
-
-
-def _parse_schedules(payload: Mapping[str, Any]) -> tuple[str, ...] | None:
-    value = payload.get("schedules")
-    if value is None:
-        return None
-    if isinstance(value, str):
-        value = [s.strip() for s in value.split(",") if s.strip()]
-    if not isinstance(value, (list, tuple)) or not value or not all(
-        isinstance(s, str) for s in value
-    ):
-        raise ValueError(
-            f"'schedules' must be a non-empty list of names, got {value!r}"
-        )
-    registered = available_schedules()
-    unknown = sorted(set(value) - set(registered))
-    if unknown:
-        raise ValueError(
-            f"unknown schedule(s) {unknown}; registered: {registered}"
-        )
-    return tuple(value)
-
-
-def _check_fields(
-    payload: Mapping[str, Any], allowed: frozenset[str], what: str
-) -> None:
-    if not isinstance(payload, Mapping):
-        raise ValueError(f"{what} request body must be a JSON object")
-    unknown = sorted(set(payload) - allowed)
-    if unknown:
-        raise ValueError(
-            f"unknown {what} request field(s) {unknown}; "
-            f"allowed: {sorted(allowed)}"
-        )
-
-
-@dataclass(frozen=True)
-class PlanQuery:
-    """One normalized plan request.
-
-    ``top`` shapes the response only (how many ranked rows to return);
-    it is excluded from :meth:`dedup_key`, so requests differing only in
-    ``top`` coalesce onto the same evaluation.
-    """
-
-    model: str
-    gpu: str
-    p: int
-    seq_len: int
-    micro_batch: int = 1
-    num_micro_batches: int | None = None
-    schedules: tuple[str, ...] | None = None
-    memory_cap_gib: float | None = None
-    options: bool = True
-    prune: bool = True
-    top: int | None = None
-
-    def workload(self) -> Workload:
-        return Workload.paper(
-            self.model,
-            self.gpu,
-            self.p,
-            self.seq_len,
-            micro_batch=self.micro_batch,
-            num_micro_batches=self.num_micro_batches,
-        )
-
-    def memory_cap_bytes(self, workload: Workload) -> float:
-        if self.memory_cap_gib is not None:
-            return float(self.memory_cap_gib) * _GIB
-        return float(workload.cluster.node.gpu.hbm_bytes)
-
-    def dedup_key(self, workload: Workload) -> tuple:
-        """The evaluation this query asks for, from its normalized fields.
-
-        ``workload`` is :meth:`workload`'s result; it supplies the
-        resolved micro-batch budget, so an omitted budget and an
-        explicit ``2p`` coalesce while different budgets never do.  The
-        preset names identify model and cluster, so the plan computes
-        ``workload_cache_key`` only once, inside ``autotune``.
-        """
-        return (
-            self.model,
-            self.gpu,
-            self.p,
-            self.seq_len,
-            self.micro_batch,
-            workload.num_micro_batches,
-            self.memory_cap_bytes(workload),
-            self.schedules,
-            self.options,
-            self.prune,
-        )
-
-
-def parse_plan_request(payload: Mapping[str, Any]) -> PlanQuery:
-    """Validate a ``POST /v1/plan`` body into a :class:`PlanQuery`.
-
-    Raises :class:`ValueError` with a pointed message on unknown fields,
-    unknown presets or malformed values -- the HTTP layer maps those to
-    400 responses verbatim.
-    """
-    _check_fields(payload, _PLAN_FIELDS, "plan")
-    model = payload.get("model", "7B")
-    if not isinstance(model, str) or model not in MODEL_PRESETS:
-        raise ValueError(
-            f"unknown model preset {model!r}; available: {sorted(MODEL_PRESETS)}"
-        )
-    gpu = payload.get("gpu", "H20")
-    if not isinstance(gpu, str) or gpu not in GPU_CLUSTERS:
-        raise ValueError(
-            f"unknown GPU preset {gpu!r}; available: {sorted(GPU_CLUSTERS)}"
-        )
-    num_micro_batches = payload.get("num_micro_batches")
-    if num_micro_batches is not None:
-        num_micro_batches = _parse_int(payload, "num_micro_batches", 0)
-    cap = payload.get("memory_cap_gib")
-    # The cap in bytes (cap * 2**30) must be a finite float too; the
-    # comparison also holds for an int too large to convert to float.
-    if cap is not None and (
-        isinstance(cap, bool)
-        or not isinstance(cap, (int, float))
-        or not 0 <= cap <= sys.float_info.max / _GIB
-    ):
-        raise ValueError(
-            "'memory_cap_gib' must be a non-negative number whose value in "
-            f"bytes is finite, got {cap!r}"
-        )
-    top = payload.get("top")
-    if top is not None:
-        top = _parse_int(payload, "top", 0)
-    for flag in ("options", "prune"):
-        if not isinstance(payload.get(flag, True), bool):
-            raise ValueError(
-                f"{flag!r} must be a boolean, got {payload[flag]!r}"
-            )
-    return PlanQuery(
-        model=model,
-        gpu=gpu,
-        p=_parse_int(payload, "p", 8),
-        seq_len=_parse_seq(payload.get("seq_len", 65536)),
-        micro_batch=_parse_int(payload, "micro_batch", 1),
-        num_micro_batches=num_micro_batches,
-        schedules=_parse_schedules(payload),
-        memory_cap_gib=None if cap is None else float(cap),
-        options=payload.get("options", True),
-        prune=payload.get("prune", True),
-        top=top,
-    )
+__all__ = ["PlannerService", "plan_payload"]
 
 
 def plan_payload(plan: PlanResult) -> dict[str, Any]:
@@ -428,43 +217,7 @@ class PlannerService:
         cache.  Returns immediately with the sweep's id and shape;
         progress is visible under ``/v1/sweeps`` (and in ``/v1/stats``).
         """
-        _check_fields(payload, _SWEEP_FIELDS, "sweep")
-        seq_lens = payload.get("seq_lens", [65536])
-        if not isinstance(seq_lens, (list, tuple)) or not seq_lens:
-            raise ValueError(
-                f"'seq_lens' must be a non-empty list, got {seq_lens!r}"
-            )
-        pipeline_sizes = payload.get("pipeline_sizes", [8])
-        if (
-            not isinstance(pipeline_sizes, (list, tuple))
-            or not pipeline_sizes
-            or not all(map(_is_positive_int, pipeline_sizes))
-        ):
-            raise ValueError(
-                "'pipeline_sizes' must be a non-empty list of positive "
-                f"integers, got {pipeline_sizes!r}"
-            )
-        budget = payload.get("budget_tokens")
-        if isinstance(budget, str):
-            budget = parse_token_budget(budget)
-        elif budget is not None and not _is_positive_int(budget):
-            raise ValueError(
-                "'budget_tokens' must be a positive integer or a k/M/G-suffixed "
-                f"string (e.g. '4M'), got {budget!r}"
-            )
-        grid = WorkloadGrid(
-            model=payload.get("model", "7B"),
-            gpu=payload.get("gpu", "H20"),
-            seq_lens=tuple(_parse_seq(s, "seq_lens") for s in seq_lens),
-            pipeline_sizes=tuple(pipeline_sizes),
-            micro_batch=_parse_int(payload, "micro_batch", 1),
-            budget_tokens=budget,
-        )
-        schedules = _parse_schedules(payload)
-        options = payload.get("options", True)
-        if not isinstance(options, bool):
-            raise ValueError(f"'options' must be a boolean, got {options!r}")
-
+        query = parse_sweep_request(payload)
         with self._inflight_lock:
             if self._closed:
                 raise ValueError("service is shutting down")
@@ -473,8 +226,8 @@ class PlannerService:
         record: dict[str, Any] = {
             "id": sweep_id,
             "state": "running",
-            "grid": grid.label,
-            "points": len(grid),
+            "grid": query.grid.label,
+            "points": len(query.grid),
             "candidates": None,
             "error": None,
             "started_s": round(time.time() - self.started_at, 3),
@@ -482,7 +235,7 @@ class PlannerService:
         }
         thread = threading.Thread(
             target=self._run_sweep,
-            args=(record, grid, schedules, options),
+            args=(record, query),
             name=sweep_id,
             daemon=True,
         )
@@ -494,23 +247,19 @@ class PlannerService:
             self._threads.append(thread)
         self.telemetry.record_sweep("started")
         thread.start()
-        return {"sweep": sweep_id, "state": "running", "points": len(grid)}
+        return {"sweep": sweep_id, "state": "running", "points": len(query.grid)}
 
-    def _run_sweep(
-        self,
-        record: dict[str, Any],
-        grid: WorkloadGrid,
-        schedules: tuple[str, ...] | None,
-        options: bool,
-    ) -> None:
+    def _run_sweep(self, record: dict[str, Any], query: SweepQuery) -> None:
         t0 = time.perf_counter()
         try:
             with self._eval_lock:  # lint-code: allow(blocking-under-lock) -- deliberate serialization
                 plans = tune_grid(
-                    grid,
-                    schedules=list(schedules) if schedules else None,
-                    options=options,
+                    query.grid,
+                    query.memory_cap_bytes(),
+                    schedules=list(query.schedules) if query.schedules else None,
+                    options=query.options,
                     cache=self.cache,
+                    prune=query.prune,
                     telemetry=self.sweep_telemetry,
                 )
             record["candidates"] = len(plans)

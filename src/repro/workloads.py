@@ -1,4 +1,4 @@
-"""Workload presets, shape parsing and token-budget grids.
+"""Workload presets and token-budget grids.
 
 The single source of truth for how a paper workload cell is named and
 resolved: model presets (:data:`repro.model.config.MODEL_PRESETS`) x GPU
@@ -21,10 +21,6 @@ Two layers live here:
   *infeasible points with a reason*, never silently dropped -- the same
   reporting discipline the tuner applies to divisor-precluded
   candidates.
-
-Shape strings accept binary suffixes: ``64k`` == 65536 sequence tokens,
-``--budget-tokens 1M`` == ``1 << 20`` tokens per iteration (matching the
-paper's "4M-token" Llama-style budgets, spelled ``4M``).
 """
 
 from __future__ import annotations
@@ -51,10 +47,6 @@ __all__ = [
     "Workload",
     "WorkloadPoint",
     "WorkloadGrid",
-    "parse_seq_len",
-    "parse_seq_lens",
-    "parse_token_budget",
-    "parse_int_list",
     "format_seq_len",
 ]
 
@@ -76,56 +68,6 @@ MAX_MICRO_BATCHES = 256
 #: model prices a micro batch in floats, so an unbounded one overflows
 #: to ``inf`` or raises :class:`OverflowError`.
 MAX_MICRO_BATCH_TOKENS = 1 << 24
-
-_SUFFIX = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30, "b": 1 << 30}
-
-
-def _parse_suffixed(text: str, what: str, example: str) -> int:
-    """Parse a positive integer with an optional binary k/M/G suffix."""
-    raw = text.strip()
-    scale = 1
-    if raw[-1:].lower() in _SUFFIX:
-        scale = _SUFFIX[raw[-1:].lower()]
-        raw = raw[:-1]
-    try:
-        value = int(raw) * scale
-    except ValueError:
-        raise ValueError(f"invalid {what} {text!r} (try {example})") from None
-    if value <= 0:
-        raise ValueError(f"{what} must be positive, got {text!r}")
-    return value
-
-
-def parse_seq_len(text: str) -> int:
-    """Parse a sequence length, accepting a ``k`` suffix (``64k`` == 65536)."""
-    return _parse_suffixed(text, "sequence length", "65536 or 64k")
-
-
-def parse_token_budget(text: str) -> int:
-    """Parse a per-iteration token budget (``1M`` == ``1 << 20``, ``4M``...)."""
-    return _parse_suffixed(text, "token budget", "4M or 1048576")
-
-
-def parse_seq_lens(text: str) -> tuple[int, ...]:
-    """Parse a comma-separated sequence-length list (``16k,32k,64k``)."""
-    items = [s for s in (t.strip() for t in text.split(",")) if s]
-    if not items:
-        raise ValueError(f"empty sequence-length list {text!r}")
-    return tuple(parse_seq_len(s) for s in items)
-
-
-def parse_int_list(text: str) -> tuple[int, ...]:
-    """Parse a comma-separated list of positive integers (``4,8``)."""
-    try:
-        items = tuple(int(s) for s in text.split(",") if s.strip())
-    except ValueError:
-        raise ValueError(f"invalid integer list {text!r} (try 4,8)") from None
-    if not items:
-        raise ValueError(f"empty integer list {text!r}")
-    if min(items) <= 0:
-        raise ValueError(f"integer list entries must be positive, got {text!r}")
-    return items
-
 
 def _budget_above_cap(num_micro_batches: int) -> str | None:
     """Why a micro-batch budget is refused, or None when it is allowed."""
@@ -359,19 +301,13 @@ class WorkloadGrid:
     def iter_points(self) -> Iterator["WorkloadPoint"]:
         """Yield every grid point in (seq_len, p) order, infeasible included."""
         for seq_len in self.seq_lens:
+            seq_reason = self.seq_len_reason(seq_len)
             for p in self.pipeline_sizes:
+                reason = seq_reason or self.pipeline_size_reason(p)
                 if self.budget_tokens is None:
                     m = 2 * p
                 else:
                     m = self.budget_tokens // (seq_len * self.micro_batch)
-                if m < 1:
-                    reason = (
-                        f"token budget {self.budget_tokens} < one "
-                        f"micro batch of {seq_len * self.micro_batch} tokens"
-                    )
-                else:
-                    reason = _budget_above_cap(m)
-                reason = _micro_batch_above_cap(seq_len, self.micro_batch) or reason
                 yield WorkloadPoint(
                     model=self.model,
                     gpu=self.gpu,
@@ -381,3 +317,28 @@ class WorkloadGrid:
                     num_micro_batches=m if reason is None else 0,
                     reason=reason,
                 )
+
+    def seq_len_reason(self, seq_len: int) -> str | None:
+        """Why no point of sequence length ``seq_len`` can run, or None.
+
+        A point runs when both its sequence length and its pipeline size
+        can: with a token budget, its micro-batch count depends on the
+        sequence length alone; without one (2p), on the pipeline size
+        alone.
+        """
+        reason = _micro_batch_above_cap(seq_len, self.micro_batch)
+        if reason is not None or self.budget_tokens is None:
+            return reason
+        tokens = seq_len * self.micro_batch
+        if self.budget_tokens < tokens:
+            return (
+                f"token budget {self.budget_tokens} < one "
+                f"micro batch of {tokens} tokens"
+            )
+        return _budget_above_cap(self.budget_tokens // tokens)
+
+    def pipeline_size_reason(self, p: int) -> str | None:
+        """Why no point of pipeline size ``p`` can run, or None."""
+        if self.budget_tokens is not None:
+            return None
+        return _budget_above_cap(2 * p)

@@ -137,6 +137,9 @@ class TestBuildSimulate:
     (("simulate", "1f1b", "-p", "0"), "-p/--pipeline-size"),
     (("build", "1f1b", "-m", "0"), "-m/--num-micro-batches"),
     (("simulate", "1f1b", "--micro-batch", "-1"), "--micro-batch"),
+    # A repeated entry would rank the same plan twice.
+    (("tune", "-p", "2,2"), "-p/--pipeline-size"),
+    (("tune", "--seq-lens", "32k,32768"), "--seq-len/--seq-lens"),
 ])
 def test_sizes_and_counts_must_be_positive(capsys, argv, option):
     """A zero or negative size is a usage error, not an empty lint pass,
@@ -146,6 +149,25 @@ def test_sizes_and_counts_must_be_positive(capsys, argv, option):
         _build_parser().parse_args(list(argv))
     assert exc.value.code == 2
     assert f"error: argument {option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,field", [
+    (("lint", "--passes", ","), "passes"),
+    (("lint", "--passes", "structure,structure"), "passes"),
+    (("lint", "--schedules", ","), "schedules"),
+    (("lint", "--schedules", "helix, helix"), "schedules"),
+    (("lint-code", "--passes", ","), "passes"),
+    (("lint-code", "--passes", ""), "passes"),
+    (("tune", "--smoke", "--schedules", ","), "schedules"),
+])
+def test_a_name_list_names_each_entry_once(capsys, argv, field):
+    """An empty list would lint or sweep nothing and pass; a repeated
+    name would run twice.  Either is a refused request, as an unknown
+    name is."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith(f"error: {field!r} ")
+    assert out == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -229,11 +251,13 @@ class TestTune:
     def test_values_the_plan_endpoint_rejects_are_usage_errors(
         self, capsys, argv, option
     ):
-        """tune takes a cap and counts only as ``POST /v1/plan`` does."""
+        """tune takes a cap and counts only as ``POST /v1/plan`` does:
+        the flag's message is the field's, under its request name."""
+        field = option.split("/")[-1].lstrip("-").replace("-", "_")
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
-        assert f"error: argument {option}: expected" in capsys.readouterr().err
+        assert f"error: argument {option}: {field!r} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ("tune", "--smoke", "-m", "257"),
@@ -273,6 +297,9 @@ class TestTune:
         ("--smoke", "-m", "4", "--seq-lens", "16k,32k"),
         ("--smoke", "--schedules", "pipedream"),
         ("-p", "4", "--seq-len", str(10**400)),
+        # Grids with no feasible point.
+        ("--budget-tokens", "1", "-p", "4"),
+        ("-p", "4,8", "--micro-batch", str(10**30)),
     ])
     def test_refused_sweep_creates_no_store(self, capsys, tmp_path, argv):
         """The request is checked before --cache opens, and so creates,
@@ -328,9 +355,11 @@ class TestTuneGrid:
         assert "workload:" in out
 
     def test_micro_batch_budget_flag_rejected_in_grid_mode(self, capsys):
+        # A sweep request has no num_micro_batches field: the token
+        # budget sets the count per point.
         code, _, err = run(capsys, *self.GRID, "-m", "8")
         assert code == 1
-        assert "incompatible with a workload grid" in err
+        assert "unknown sweep request field(s) ['num_micro_batches']" in err
 
     def test_grid_cache_round_trip(self, capsys, tmp_path):
         path = str(tmp_path / "grid-cache.sqlite")

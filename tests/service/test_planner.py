@@ -5,7 +5,8 @@ import threading
 
 import pytest
 
-from repro.service import PlannerService, parse_plan_request, plan_payload
+from repro.query import parse_plan_request
+from repro.service import PlannerService, plan_payload
 from repro.tuner import CostCache, autotune
 from repro.workloads import MAX_MICRO_BATCH_TOKENS, MAX_MICRO_BATCHES, Workload
 from tests.tuner.test_ircache import alive, collector_off, record_builds
@@ -33,6 +34,8 @@ class TestParsePlanRequest:
         assert (q.model, q.gpu, q.p, q.seq_len) == ("7B", "H20", 8, 65536)
         assert q.micro_batch == 1 and q.schedules is None
         assert q.options and q.prune and q.top is None
+        # null is the default only where the default is null.
+        assert parse_plan_request({"top": None, "schedules": None}) == q
 
     def test_seq_len_accepts_k_suffix_and_int(self):
         assert parse_plan_request({"seq_len": "64k"}).seq_len == 65536
@@ -59,6 +62,7 @@ class TestParsePlanRequest:
         [
             {"p": 0},
             {"p": True},
+            {"p": None},
             {"seq_len": -1},
             {"top": 0},
             {"memory_cap_gib": -1},
@@ -66,6 +70,7 @@ class TestParsePlanRequest:
             {"memory_cap_gib": float("inf")},
             {"schedules": []},
             {"schedules": ["no-such-schedule"]},
+            {"schedules": ["1f1b", 1]},
             {"options": "yes"},
             {"prune": 1},
             {"model": ["7B"]},
@@ -312,15 +317,31 @@ class TestSweeps:
             service.start_sweep({"model": ["7B"]})
         with pytest.raises(ValueError, match="unknown GPU preset"):
             service.start_sweep({"gpu": {"a": 1}})
-        for sizes in ([True], [2.5]):
+        for sizes in ([True], [2.5], [4, 0]):
             with pytest.raises(ValueError, match="pipeline_sizes"):
                 service.start_sweep({"pipeline_sizes": sizes})
+        # Repeats are compared after parsing.
+        with pytest.raises(ValueError, match="'seq_lens' lists 32768 twice"):
+            service.start_sweep({"seq_lens": ["32k", 32768]})
         for budget in (float("nan"), 1.5, [1]):
             with pytest.raises(ValueError, match="budget_tokens"):
                 service.start_sweep({"budget_tokens": budget})
         with pytest.raises(ValueError, match="no-such-schedule"):
             service.start_sweep({"schedules": ["1f1b", "no-such-schedule"]})
+        # Grids with no feasible point are refused with the first
+        # point's reason.
+        for body, reason in [
+            ({"micro_batch": 10**30}, "above the maximum of 16777216 tokens"),
+            ({"pipeline_sizes": [10**9]}, "above the maximum of 256"),
+            ({"seq_lens": [10**30]}, "above the maximum of 16777216 tokens"),
+            ({"budget_tokens": 1, "pipeline_sizes": [4]}, "token budget 1 <"),
+            # The first point's reason, not the second's.
+            ({"seq_lens": ["8k", 10**30], "pipeline_sizes": [200]}, "budget 400"),
+        ]:
+            with pytest.raises(ValueError, match=reason):
+                service.start_sweep(body)
         assert service.telemetry.as_dict()["sweeps_started"] == 0
+        assert service.sweeps() == []
 
     def test_failed_sweep_is_recorded_not_raised(self, monkeypatch):
         def failing_tune_grid(*args, **kwargs):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.query import parse_text
 from repro.workloads import (
     GPU_CLUSTERS,
     MAX_MICRO_BATCH_TOKENS,
@@ -9,10 +10,6 @@ from repro.workloads import (
     Workload,
     WorkloadGrid,
     format_seq_len,
-    parse_int_list,
-    parse_seq_len,
-    parse_seq_lens,
-    parse_token_budget,
 )
 
 
@@ -22,37 +19,37 @@ class TestParsing:
         [("64k", 65536), ("64K", 65536), ("65536", 65536), ("32k", 32768)],
     )
     def test_seq_len(self, text, expected):
-        assert parse_seq_len(text) == expected
+        assert parse_text("seq_len", text) == expected
 
-    @pytest.mark.parametrize("text", ["", "banana", "64q", "-4", "0"])
+    @pytest.mark.parametrize("text", ["", "banana", "64q", "-4", "0", "1e3"])
     def test_seq_len_invalid(self, text):
         with pytest.raises(ValueError):
-            parse_seq_len(text)
+            parse_text("seq_len", text)
 
     @pytest.mark.parametrize(
         "text,expected",
         [("1M", 1 << 20), ("4M", 4 << 20), ("512k", 512 << 10), ("1G", 1 << 30)],
     )
     def test_token_budget(self, text, expected):
-        assert parse_token_budget(text) == expected
+        assert parse_text("budget_tokens", text) == expected
 
     def test_seq_lens_list(self):
-        assert parse_seq_lens("16k, 32k,65536") == (16384, 32768, 65536)
+        assert parse_text("seq_lens", "16k, 32k,65536") == (16384, 32768, 65536)
         with pytest.raises(ValueError):
-            parse_seq_lens(" , ")
+            parse_text("seq_lens", " , ")
 
     def test_int_list(self):
-        assert parse_int_list("4,8") == (4, 8)
+        assert parse_text("pipeline_sizes", "4,8") == (4, 8)
         with pytest.raises(ValueError):
-            parse_int_list("4,eight")
+            parse_text("pipeline_sizes", "4,eight")
 
     def test_int_list_entries_must_be_positive(self):
-        with pytest.raises(ValueError, match="must be positive"):
-            parse_int_list("4,0")
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            parse_text("pipeline_sizes", "4,0")
 
     def test_format_seq_len_round_trips(self):
         assert format_seq_len(65536) == "64k"
-        assert format_seq_len(parse_seq_len("96k")) == "96k"
+        assert format_seq_len(parse_text("seq_len", "96k")) == "96k"
         assert format_seq_len(1000) == "1000"
 
 
